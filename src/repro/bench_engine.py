@@ -1,40 +1,30 @@
-"""Engine hot-path benchmark: scheduler events/sec and artifact wall time.
+"""Engine hot-path benchmark: kernel events/sec, artifact wall time, lint.
 
-Measures the calendar-queue scheduler against the legacy heap scheduler
-(``Environment(scheduler="heap")``, which reproduces the pre-overhaul
-engine byte-for-byte) on three kinds of rows and writes the results to
-``BENCH_engine.json``:
+Measures the event kernel on three synthetic rows, times real figure
+points and scenarios, and writes the results to ``BENCH_engine.json``:
 
-* **Poll-batch completion storms** — 64 pollers that each complete a
-  batch of zero-delay descriptor hand-offs per tick and then re-arm,
-  running over a deep population of far-future background timers.  This
-  is the shape of the paper's exit-less polling dispatcher completing
-  virtio descriptor batches (rings are 128-256 deep), and it is where
-  the calendar queue's O(1) zero-delay lane pays off most.  The batch-32
-  storm is the headline row for the >=5x acceptance criterion.
-* **Timeline-bound storm** — the batch-32 storm re-run with a live
-  windowed :class:`~repro.telemetry.timeline.Timeline` attached as an
-  engine advance monitor, reporting events/sec bound vs unbound and the
+* **Poll-batch completion storm** — 64 pollers that each complete a
+  batch of 32 zero-delay descriptor hand-offs per tick and then re-arm,
+  running over a deep population of far-future background timers: the
+  shape of the paper's exit-less polling dispatcher completing virtio
+  descriptor batches.
+* **Timeline-bound storm** — the same storm re-run with a live windowed
+  :class:`~repro.telemetry.timeline.Timeline` attached as an engine
+  advance monitor, reporting events/sec bound vs unbound and the
   resulting overhead fraction: the cost of ``repro observe --timeline``.
-* **Captured-profile replays** — lanes replaying the *measured*
-  step-time profile of the fig12 (``apache_vrio``) and fig13
-  (``scalability_vrio``) scenarios: for each run-length-encoded
-  ``(gap, burst)`` pair, ``burst`` zero-delay hand-offs followed by a
-  ``gap``-ns timer.  These rows are honest about the mixed schedule the
-  real artifacts produce (~58% zero-delay / ~42% short timers) and show
-  a smaller but real speedup.
-* **Artifact wall times** — end-to-end ``run_scenario`` wall-clock for
-  the fig12/fig13 scenario paths under both schedulers, asserting the
-  metrics dictionaries are identical (the differential guarantee).
+* **Fabric relay storm** — frames relayed around a leaf/spine ring, the
+  ``dc_scale`` switch datapath.
+* **Artifact wall times** — end-to-end wall clock of fig12/fig13 sweep
+  points (the unmonitored fast loop) and of monitored scenario runs.
 * **Whole-tree lint** — ``repro lint --project`` over the full tree,
   cold (fresh symbol cache) and warm (populated cache): wall times,
   finding count, and the cold/warm ratio the incremental cache buys
   (``--check`` requires >=5x and no new findings).
 
 ``--check`` compares a fresh measurement against a committed baseline
-and fails on a >10% events/sec regression in any comparable calendar
-row.  ``--quick`` shrinks event counts and background depth for CI
-smoke runs; quick numbers are not meant to be committed.
+and fails on a >10% events/sec regression in any comparable row.
+``--quick`` shrinks event counts and background depth for CI smoke
+runs; quick numbers are not meant to be committed.
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ import json
 import platform
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .sim import Environment
 
@@ -57,10 +47,8 @@ __all__ = [
     "main",
 ]
 
-SCHEMA = "repro-bench-engine/v1"
+SCHEMA = "repro-bench-engine/v2"
 DEFAULT_OUT = "BENCH_engine.json"
-HEADLINE_ROW = "completion_storm_b32"
-HEADLINE_TARGET = 5.0
 REGRESSION_TOLERANCE = 0.10
 
 # Background timers land far beyond the measured window so they load the
@@ -69,12 +57,10 @@ _BG_DELAY = 500_000_000
 _BG_STRIDE = 37
 _RUN_UNTIL = 400_000_000
 _STORM_LANES = 64
-_REPLAY_LANES = 64
+_STORM_BATCH = 32
 # Window width for the timeline-overhead row: 1 ms keeps window closes
 # frequent relative to the storm's ~30 ms of simulated activity.
 _BENCH_WINDOW_NS = 1_000_000
-
-_SCHEDULERS = ("heap", "calendar")
 
 
 def _noop() -> None:
@@ -101,40 +87,6 @@ class _PollLane:
         for _ in range(self.batch):
             cs(_noop)
         cs(self, 1 + (left & 2047))  # next poll tick
-
-
-class _ProfileLane:
-    """Replays one lane of a captured scenario step-time profile.
-
-    ``pattern`` is a run-length encoding of the scenario's consecutive
-    step-time deltas: each ``(gap, burst)`` pair means ``burst``
-    zero-delay dispatches happened back-to-back, then the clock advanced
-    ``gap`` ns.  The lane walks the pattern cyclically from its own
-    offset until its event budget is spent.
-    """
-
-    __slots__ = ("env", "pattern", "idx", "left")
-
-    def __init__(self, env: Environment, pattern: Sequence[Tuple[int, int]],
-                 idx: int, left: int) -> None:
-        self.env = env
-        self.pattern = pattern
-        self.idx = idx
-        self.left = left
-
-    def __call__(self) -> None:
-        left = self.left
-        if left <= 0:
-            return
-        pattern = self.pattern
-        gap, burst = pattern[self.idx]
-        idx = self.idx + 1
-        self.idx = idx if idx < len(pattern) else 0
-        self.left = left - burst - 1
-        cs = self.env.call_soon
-        for _ in range(burst):
-            cs(_noop)
-        cs(self, gap)
 
 
 class _FabricBudget:
@@ -177,7 +129,7 @@ _FABRIC_RACKS = 4
 _FABRIC_TOKENS = 256
 
 
-def _fabric_storm_rate(scheduler: str, hops: int) -> float:
+def _fabric_storm_rate(hops: int) -> float:
     """Relay-ring storm over a 4-leaf/1-spine fabric (dc_scale shape).
 
     ``hops`` host-to-host messages, each crossing two leaves and the
@@ -189,7 +141,7 @@ def _fabric_storm_rate(scheduler: str, hops: int) -> float:
     from .hw.link import Link
     from .net.frame import EthernetFrame, MacAddress
 
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     fabric = LeafSpineFabric(env, _FABRIC_RACKS, 1, downlinks_per_leaf=1,
                              downlink_gbps=10.0, name="storm-fabric")
     budget = _FabricBudget(hops)
@@ -212,43 +164,6 @@ def _fabric_storm_rate(scheduler: str, hops: int) -> float:
     return hops / _timed_run(env, _RUN_UNTIL)
 
 
-def _pattern_from_times(times: Sequence[int]) -> List[Tuple[int, int]]:
-    """Run-length encode step times into ``(gap ns, zero-delay burst)``."""
-    pattern: List[Tuple[int, int]] = []
-    gap: Optional[int] = None
-    burst = 0
-    prev = times[0]
-    for t in times[1:]:
-        delta = t - prev
-        prev = t
-        if delta == 0:
-            burst += 1
-        else:
-            if gap is not None:
-                pattern.append((gap, burst))
-            gap = delta
-            burst = 0
-    if gap is not None:
-        pattern.append((gap, burst))
-    return pattern
-
-
-def _capture_pattern(scenario: str, seed: int = 0) -> List[Tuple[int, int]]:
-    """Run ``scenario`` once with step-time capture and RLE the profile."""
-    from .testing.invariants import EngineMonitor
-    from .testing.scenarios import run_scenario
-
-    EngineMonitor.capture_times = True
-    try:
-        result = run_scenario(scenario, seed=seed)
-    finally:
-        EngineMonitor.capture_times = False
-    times = result.monitor.times
-    if len(times) < 2:
-        raise RuntimeError(f"scenario {scenario!r} produced no step profile")
-    return _pattern_from_times(times)
-
-
 def _fill_background(env: Environment, background: int) -> None:
     cs = env.call_soon
     for i in range(background):
@@ -261,63 +176,36 @@ def _timed_run(env: Environment, until: int) -> float:
     return time.perf_counter() - t0
 
 
-def _storm_rate(scheduler: str, events: int, background: int,
-                batch: int) -> float:
-    env = Environment(scheduler=scheduler)
-    _fill_background(env, background)
-    per_lane = events // _STORM_LANES
-    for i in range(_STORM_LANES):
-        env.call_soon(_PollLane(env, per_lane, batch), 1 + i)
-    return events / _timed_run(env, _RUN_UNTIL)
+def _storm_rate(events: int, background: int, batch: int,
+                timeline: bool = False) -> float:
+    """Events/sec of the poll-batch completion storm.
 
-
-def _timeline_storm_rate(scheduler: str, events: int, background: int,
-                         batch: int) -> float:
-    """The batch-``batch`` storm with a live windowed timeline bound.
-
-    Binding flips the engine onto the monitored run loop and pays one
-    window close per ``_BENCH_WINDOW_NS`` of simulated time — the real
-    cost of ``repro observe --timeline`` relative to an unbound run.
+    With ``timeline`` a live windowed timeline is bound: binding flips
+    the engine onto the monitored run loop and pays one window close per
+    ``_BENCH_WINDOW_NS`` of simulated time — the real cost of ``repro
+    observe --timeline`` relative to an unbound run.
     """
-    from .telemetry import Timeline
+    env = Environment()
+    if timeline:
+        from .telemetry import Timeline
 
-    env = Environment(scheduler=scheduler)
-    timeline = Timeline(_BENCH_WINDOW_NS)
-    progress = [0.0]
-    timeline.watch_rate("storm_events", lambda: progress[0])
-    env.add_monitor(timeline)
+        bound = Timeline(_BENCH_WINDOW_NS)
+        progress = [0.0]
+        bound.watch_rate("storm_events", lambda: progress[0])
+        env.add_monitor(bound)
     _fill_background(env, background)
     per_lane = events // _STORM_LANES
     for i in range(_STORM_LANES):
         env.call_soon(_PollLane(env, per_lane, batch), 1 + i)
     rate = events / _timed_run(env, _RUN_UNTIL)
-    timeline.flush(env.now)
+    if timeline:
+        bound.flush(env.now)
     return rate
 
 
-def _replay_rate(scheduler: str, pattern: Sequence[Tuple[int, int]],
-                 events: int, background: int) -> float:
-    env = Environment(scheduler=scheduler)
-    _fill_background(env, background)
-    per_lane = events // _REPLAY_LANES
-    step = max(1, len(pattern) // _REPLAY_LANES)
-    for i in range(_REPLAY_LANES):
-        lane = _ProfileLane(env, pattern, (i * step) % len(pattern), per_lane)
-        env.call_soon(lane, 1 + i)
-    return events / _timed_run(env, _RUN_UNTIL)
-
-
-def _pattern_zero_frac(pattern: Sequence[Tuple[int, int]]) -> float:
-    zeros = sum(burst for _gap, burst in pattern)
-    total = sum(burst + 1 for _gap, burst in pattern)
-    return zeros / total if total else 0.0
-
-
-def _row(name: str, mode: str, path: str, rate_fn: Callable[[str], float],
-         *, events: int, background: int, lanes: int,
-         batch: Optional[int] = None, note: str = "",
-         zero_frac: Optional[float] = None) -> Dict[str, Any]:
-    rates = {sched: rate_fn(sched) for sched in _SCHEDULERS}
+def _row(name: str, mode: str, path: str, rate: float, *, events: int,
+         background: int, lanes: int, batch: Optional[int] = None,
+         note: str = "") -> Dict[str, Any]:
     row: Dict[str, Any] = {
         "name": name,
         "mode": mode,
@@ -326,66 +214,45 @@ def _row(name: str, mode: str, path: str, rate_fn: Callable[[str], float],
         "events": events,
         "background": background,
         "batch": batch,
-        "events_per_sec": {k: round(v, 1) for k, v in rates.items()},
-        "speedup": round(rates["calendar"] / rates["heap"], 3),
+        "events_per_sec": round(rate, 1),
     }
-    if zero_frac is not None:
-        row["zero_frac"] = round(zero_frac, 4)
     if note:
         row["note"] = note
     return row
 
 
 def _artifact_row(scenario: str, path: str, seed: int = 0) -> Dict[str, Any]:
-    """Monitored scenario run: wall time + scheduler metrics identity."""
-    from .sim import scheduler_override
+    """Monitored scenario run: wall time and dispatched steps."""
     from .testing.scenarios import run_scenario
 
-    walls: Dict[str, float] = {}
-    metrics: Dict[str, Dict[str, float]] = {}
-    for sched in _SCHEDULERS:
-        with scheduler_override(sched):
-            t0 = time.perf_counter()
-            result = run_scenario(scenario, seed=seed)
-            walls[sched] = time.perf_counter() - t0
-        metrics[sched] = dict(result.metrics)
+    t0 = time.perf_counter()
+    result = run_scenario(scenario, seed=seed)
+    wall = time.perf_counter() - t0
     return {
         "scenario": scenario,
         "path": path,
         "kind": "monitored-scenario",
-        "wall_s": {k: round(v, 4) for k, v in walls.items()},
-        "speedup": round(walls["heap"] / walls["calendar"], 3),
-        "identical_metrics": metrics["heap"] == metrics["calendar"],
-        "sim_steps": int(metrics["calendar"].get("sim.steps", 0)),
+        "wall_s": round(wall, 4),
+        "sim_steps": int(result.metrics.get("sim.steps", 0)),
     }
 
 
 def _point_row(name: str, path: str, point_fn: Callable[[dict], Any],
                params: dict) -> Dict[str, Any]:
-    """One real (unmonitored) figure sweep point under both schedulers.
+    """Wall time of one real (unmonitored) figure sweep point.
 
     This is what ``repro run fig12``/``fig13`` actually executes per
-    cell — no monitors attached, so it exercises the specialized fast
-    loop — and the reproduced figure value must be identical under both
-    schedulers.
+    cell — no monitors attached, so it exercises the fast run loop.
     """
-    from .sim import scheduler_override
-
-    walls: Dict[str, float] = {}
-    values: Dict[str, Any] = {}
-    for sched in _SCHEDULERS:
-        with scheduler_override(sched):
-            t0 = time.perf_counter()
-            values[sched] = point_fn(dict(params))
-            walls[sched] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    point_fn(dict(params))
+    wall = time.perf_counter() - t0
     return {
         "scenario": name,
         "path": path,
         "kind": "figure-point",
         "params": dict(params),
-        "wall_s": {k: round(v, 4) for k, v in walls.items()},
-        "speedup": round(walls["heap"] / walls["calendar"], 3),
-        "identical_metrics": values["heap"] == values["calendar"],
+        "wall_s": round(wall, 4),
     }
 
 
@@ -441,72 +308,44 @@ def run_engine_bench(quick: bool = False,
     """Run every row and return the BENCH_engine payload dict."""
     say = progress or (lambda _msg: None)
     if quick:
-        storm_events, replay_events, background = 200_000, 100_000, 100_000
+        storm_events, background = 200_000, 100_000
     else:
-        storm_events, replay_events, background = 2_000_000, 1_000_000, 1_000_000
-
-    say("capturing fig12/fig13 step-time profiles ...")
-    fig12_pattern = _capture_pattern("apache_vrio")
-    fig13_pattern = _capture_pattern("scalability_vrio")
+        storm_events, background = 2_000_000, 1_000_000
 
     rows: List[Dict[str, Any]] = []
-    for batch in (8, 16, 32):
-        say(f"completion storm, batch {batch} ...")
-        rows.append(_row(
-            f"completion_storm_b{batch}", "poll-batch-storm", "fig12+fig13",
-            lambda sched, b=batch: _storm_rate(
-                sched, storm_events, background, b),
-            events=storm_events, background=background, lanes=_STORM_LANES,
-            batch=batch,
-            note=(f"{_STORM_LANES} pollers each completing {batch} zero-delay "
-                  "descriptor hand-offs per tick over a deep background "
-                  "timer population (virtio ring completion shape)")))
-    say("timeline-bound completion storm, batch 32 ...")
-    unbound = next(r for r in rows if r["name"] == "completion_storm_b32")
-    bound = {sched: _timeline_storm_rate(sched, storm_events, background, 32)
-             for sched in _SCHEDULERS}
-    rows.append({
-        "name": "timeline_storm_b32",
-        "mode": "timeline-storm",
-        "path": "observe",
-        "lanes": _STORM_LANES,
-        "events": storm_events,
-        "background": background,
-        "batch": 32,
-        "events_per_sec": {k: round(v, 1) for k, v in bound.items()},
-        "speedup": round(bound["calendar"] / bound["heap"], 3),
-        "unbound_events_per_sec": dict(unbound["events_per_sec"]),
-        "timeline_overhead": {
-            sched: round(
-                1.0 - bound[sched] / unbound["events_per_sec"][sched], 4)
-            for sched in _SCHEDULERS},
-        "note": ("the batch-32 storm with a live windowed timeline bound "
-                 f"({_BENCH_WINDOW_NS} ns windows): monitored-loop + "
-                 "window-close cost of repro observe --timeline vs the "
-                 "unbound fast loop"),
-    })
+    say(f"completion storm, batch {_STORM_BATCH} ...")
+    unbound = _storm_rate(storm_events, background, _STORM_BATCH)
+    rows.append(_row(
+        f"completion_storm_b{_STORM_BATCH}", "poll-batch-storm",
+        "fig12+fig13", unbound, events=storm_events, background=background,
+        lanes=_STORM_LANES, batch=_STORM_BATCH,
+        note=(f"{_STORM_LANES} pollers each completing {_STORM_BATCH} "
+              "zero-delay descriptor hand-offs per tick over a deep "
+              "background timer population (virtio ring completion shape)")))
+    say(f"timeline-bound completion storm, batch {_STORM_BATCH} ...")
+    bound = _storm_rate(storm_events, background, _STORM_BATCH,
+                        timeline=True)
+    row = _row(
+        f"timeline_storm_b{_STORM_BATCH}", "timeline-storm", "observe", bound,
+        events=storm_events, background=background, lanes=_STORM_LANES,
+        batch=_STORM_BATCH,
+        note=(f"the batch-{_STORM_BATCH} storm with a live windowed timeline "
+              f"bound ({_BENCH_WINDOW_NS} ns windows): monitored-loop + "
+              "window-close cost of repro observe --timeline vs the "
+              "unbound fast loop"))
+    row["unbound_events_per_sec"] = round(unbound, 1)
+    row["timeline_overhead"] = round(1.0 - bound / unbound, 4)
+    rows.append(row)
     fabric_hops = 50_000 if quick else 500_000
     say("fabric relay storm, 4-leaf/1-spine ...")
     rows.append(_row(
         "fabric_storm_r4", "fabric-storm", "dc_scale",
-        lambda sched: _fabric_storm_rate(sched, fabric_hops),
+        _fabric_storm_rate(fabric_hops),
         events=fabric_hops, background=0, lanes=_FABRIC_RACKS,
         note=(f"{_FABRIC_TOKENS} frames relayed around a "
               f"{_FABRIC_RACKS}-leaf/1-spine ring; every hop crosses two "
               "switches through the hoisted ingress closure and batched "
               "egress flush (events = host-to-host hops)")))
-    for name, path, pattern in (
-            ("replay_fig12", "fig12", fig12_pattern),
-            ("replay_fig13", "fig13", fig13_pattern)):
-        say(f"captured-profile replay, {path} ...")
-        rows.append(_row(
-            name, "captured-replay", path,
-            lambda sched, p=pattern: _replay_rate(
-                sched, p, replay_events, background),
-            events=replay_events, background=background, lanes=_REPLAY_LANES,
-            zero_frac=_pattern_zero_frac(pattern),
-            note=(f"replays the measured {path} step-time profile "
-                  "(zero-delay bursts + short timers)")))
 
     from .experiments.throughput_experiments import _macro_point
     from .experiments.scalability_experiments import _fig13b_point
@@ -534,7 +373,6 @@ def run_engine_bench(quick: bool = False,
     say("whole-tree project lint, cold + warm cache ...")
     lint = _lint_row()
 
-    headline = next(r for r in rows if r["name"] == HEADLINE_ROW)
     return {
         "schema": SCHEMA,
         "quick": quick,
@@ -542,31 +380,17 @@ def run_engine_bench(quick: bool = False,
         "rows": rows,
         "artifacts": artifacts,
         "lint": lint,
-        "headline": {
-            "row": HEADLINE_ROW,
-            "speedup": headline["speedup"],
-            "target_x": HEADLINE_TARGET,
-            "pass": headline["speedup"] >= HEADLINE_TARGET,
-            "note": ("heap mode reproduces the pre-overhaul scheduler "
-                     "byte-for-byte and shares the new Event layout, so it "
-                     "is an equal-or-faster stand-in for the pre-PR engine"),
-        },
     }
 
 
 def run_engine_smoke(baseline_path: str = DEFAULT_OUT) -> Optional[str]:
     """Quick sanity used by ``repro verify --engine``.
 
-    The calendar scheduler must clearly beat the legacy heap on a small
-    completion-storm shape (full-scale ratio is ~6x; the 1.5x bar here
-    leaves wide noise margin), and the committed baseline file — when
-    present — must be schema-valid.  Returns a problem string or None.
+    A small completion storm must run to completion, and the committed
+    baseline file — when present — must be schema-valid.  Returns a
+    problem string or None.
     """
-    heap = _storm_rate("heap", 100_000, 50_000, 32)
-    cal = _storm_rate("calendar", 100_000, 50_000, 32)
-    if cal < heap * 1.5:
-        return (f"calendar storm rate {cal:,.0f} ev/s is not >=1.5x the "
-                f"heap rate {heap:,.0f} ev/s")
+    _storm_rate(100_000, 50_000, _STORM_BATCH)
     try:
         with open(baseline_path, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
@@ -589,8 +413,8 @@ def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
                      tolerance: float = REGRESSION_TOLERANCE) -> List[str]:
     """Return regression messages (empty = gate passes).
 
-    Calendar events/sec of each row present in both payloads *at the
-    same scale* must be within ``tolerance`` of the baseline.  Rows only
+    Events/sec of each row present in both payloads *at the same
+    scale* must be within ``tolerance`` of the baseline.  Rows only
     in the baseline count as regressions (coverage must not shrink);
     rows at a different scale are skipped (quick vs full runs are not
     comparable).
@@ -604,12 +428,12 @@ def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
             continue
         if any(row.get(k) != base.get(k) for k in _COMPARABLE_KEYS):
             continue
-        cur = row["events_per_sec"]["calendar"]
-        ref = base["events_per_sec"]["calendar"]
+        cur = row["events_per_sec"]
+        ref = base["events_per_sec"]
         if cur < ref * (1.0 - tolerance):
             drop = (1.0 - cur / ref) * 100.0
             problems.append(
-                f"{base['name']}: calendar {cur:,.0f} ev/s vs baseline "
+                f"{base['name']}: {cur:,.0f} ev/s vs baseline "
                 f"{ref:,.0f} ev/s (-{drop:.1f}%, tolerance "
                 f"{tolerance * 100:.0f}%)")
     base_lint = baseline.get("lint")
@@ -644,17 +468,15 @@ def validate_payload(payload: Dict[str, Any]) -> List[str]:
     for row in rows:
         name = row.get("name", "<unnamed>")
         for key in ("name", "mode", "path", "lanes", "events", "background",
-                    "events_per_sec", "speedup"):
+                    "events_per_sec"):
             if key not in row:
                 problems.append(f"row {name}: missing {key!r}")
-        eps = row.get("events_per_sec", {})
-        for sched in _SCHEDULERS:
-            rate = eps.get(sched)
-            if not isinstance(rate, (int, float)) or rate <= 0:
-                problems.append(f"row {name}: bad events_per_sec[{sched!r}]")
+        rate = row.get("events_per_sec")
+        if not isinstance(rate, (int, float)) or rate <= 0:
+            problems.append(f"row {name}: bad events_per_sec")
         if row.get("mode") == "timeline-storm":
             for key in ("unbound_events_per_sec", "timeline_overhead"):
-                if not isinstance(row.get(key), dict):
+                if not isinstance(row.get(key), (int, float)):
                     problems.append(f"row {name}: missing {key!r}")
     artifacts = payload.get("artifacts")
     if not isinstance(artifacts, list) or not artifacts:
@@ -662,12 +484,9 @@ def validate_payload(payload: Dict[str, Any]) -> List[str]:
         artifacts = []
     for art in artifacts:
         scenario = art.get("scenario", "<unnamed>")
-        for key in ("scenario", "path", "wall_s", "speedup"):
+        for key in ("scenario", "path", "wall_s"):
             if key not in art:
                 problems.append(f"artifact {scenario}: missing {key!r}")
-        if art.get("identical_metrics") is not True:
-            problems.append(
-                f"artifact {scenario}: metrics differ between schedulers")
     lint = payload.get("lint")
     if lint is not None:
         for key in ("name", "files", "findings", "cold_wall_s",
@@ -678,15 +497,6 @@ def validate_payload(payload: Dict[str, Any]) -> List[str]:
             problems.append("lint: no files measured")
         if not isinstance(lint.get("findings"), int):
             problems.append("lint: findings is not an integer")
-    headline = payload.get("headline")
-    if not isinstance(headline, dict):
-        problems.append("headline missing")
-    else:
-        row_names = {r.get("name") for r in rows}
-        if headline.get("row") not in row_names:
-            problems.append(f"headline row {headline.get('row')!r} not in rows")
-        if not isinstance(headline.get("speedup"), (int, float)):
-            problems.append("headline speedup missing")
     return problems
 
 
@@ -698,22 +508,14 @@ def write_payload(payload: Dict[str, Any], path: str) -> None:
 
 def _print_report(payload: Dict[str, Any], out=sys.stdout) -> None:
     for row in payload["rows"]:
-        eps = row["events_per_sec"]
-        line = (
-            f"  {row['name']:<24} heap {eps['heap'] / 1e6:6.3f} M/s  "
-            f"calendar {eps['calendar'] / 1e6:6.3f} M/s  "
-            f"speedup {row['speedup']:.2f}x")
+        line = (f"  {row['name']:<24} "
+                f"{row['events_per_sec'] / 1e6:6.3f} M/s")
         overhead = row.get("timeline_overhead")
         if overhead is not None:
-            line += f"  timeline overhead {overhead['calendar'] * 100:.1f}%"
+            line += f"  timeline overhead {overhead * 100:.1f}%"
         out.write(line + "\n")
     for art in payload["artifacts"]:
-        wall = art["wall_s"]
-        flag = "" if art["identical_metrics"] else "  METRICS DIFFER"
-        out.write(
-            f"  {art['scenario']:<24} heap {wall['heap']:6.3f} s    "
-            f"calendar {wall['calendar']:6.3f} s    "
-            f"speedup {art['speedup']:.2f}x{flag}\n")
+        out.write(f"  {art['scenario']:<24} {art['wall_s']:6.3f} s\n")
     lint = payload.get("lint")
     if lint is not None:
         out.write(
@@ -721,10 +523,6 @@ def _print_report(payload: Dict[str, Any], out=sys.stdout) -> None:
             f"warm {lint['warm_wall_s']:6.3f} s    "
             f"warmup {lint['warmup_x']:.2f}x  "
             f"({lint['files']} files, {lint['findings']} findings)\n")
-    head = payload["headline"]
-    verdict = "pass" if head["pass"] else "BELOW TARGET"
-    out.write(f"  headline {head['row']}: {head['speedup']:.2f}x "
-              f"(target {head['target_x']:.0f}x) -> {verdict}\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -742,11 +540,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload = run_engine_bench(
         quick=args.quick, progress=lambda msg: print(f"[bench-engine] {msg}"))
     _print_report(payload)
-    bad_artifacts = [a["scenario"] for a in payload["artifacts"]
-                     if not a["identical_metrics"]]
-    if bad_artifacts:
-        print(f"FAIL: scheduler metrics diverged for {bad_artifacts}")
-        return 1
 
     if args.check:
         try:
@@ -761,7 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for problem in problems:
                 print(f"  - {problem}")
             return 1
-        print(f"ok: no calendar events/sec regression vs {args.out}")
+        print(f"ok: no events/sec regression vs {args.out}")
         return 0
 
     write_payload(payload, args.out)

@@ -26,9 +26,9 @@ verify [--scenario NAME] [--update-goldens] [--list] [--telemetry]
     determinism, and compared to its committed golden fingerprint.
     ``--telemetry`` adds a pass validating each scenario's metrics and
     Chrome-trace exports.  ``--lint`` adds the simlint static-analysis
-    pass over the source tree.  ``--engine`` adds the scheduler smoke:
-    the calendar queue must clearly outpace the legacy heap and the
-    committed ``BENCH_engine.json`` must be schema-valid.  Scenarios fan
+    pass over the source tree.  ``--engine`` adds the engine smoke: a
+    small completion storm must run to completion and the committed
+    ``BENCH_engine.json`` must be schema-valid.  Scenarios fan
     out over ``--jobs`` processes and replay from the result cache when
     the code is unchanged.
 lint [PATH ...] [--json] [--baseline FILE] [--update-baseline]
@@ -67,12 +67,12 @@ bench [ARTIFACT ...] [--quick] [--jobs N] [--out PATH]
     Time each artifact's regeneration three ways — serial cold, parallel
     cold, and warm-cache — and write the timings to ``BENCH_sweep.json``.
 bench --engine [--quick] [--check] [--out PATH]
-    Benchmark the event-scheduler hot path: calendar queue vs the legacy
-    heap on completion storms, captured fig12/fig13 schedule replays,
+    Benchmark the event-kernel hot path: events/sec of a completion
+    storm (unbound and timeline-bound) and a fabric relay storm,
     end-to-end artifact wall times, and the whole-tree project lint
     (cold vs warm symbol cache); writes ``BENCH_engine.json``.
     ``--check`` compares against the committed baseline instead and
-    fails on a >10% calendar events/sec regression, a lint cache
+    fails on a >10% events/sec regression in any row, a lint cache
     warm-up below 5x, or new lint findings.
 """
 
@@ -424,7 +424,7 @@ def _lint_smoke_line() -> Optional[str]:
 
 
 def _engine_smoke_line() -> Optional[str]:
-    """Run the engine-scheduler smoke and print its verdict row."""
+    """Run the engine smoke and print its verdict row."""
     from .bench_engine import run_engine_smoke
 
     issue = run_engine_smoke()
@@ -897,9 +897,8 @@ def _main(argv: Optional[list] = None) -> int:
                                help="also run the simlint static-analysis "
                                     "pass over the source tree")
     verify_parser.add_argument("--engine", action="store_true",
-                               help="also run the engine-scheduler smoke: "
-                                    "the calendar queue must beat the legacy "
-                                    "heap on the storm shape and the "
+                               help="also run the engine smoke: a small "
+                                    "completion storm must run and the "
                                     "committed BENCH_engine.json must be "
                                     "schema-valid")
     verify_parser.add_argument("--observe", action="store_true",
@@ -997,9 +996,8 @@ def _main(argv: Optional[list] = None) -> int:
                                    "BENCH_sweep.json, or BENCH_engine.json "
                                    "with --engine)")
     bench_parser.add_argument("--engine", action="store_true",
-                              help="benchmark the event-scheduler hot path "
-                                   "(calendar queue vs legacy heap) instead "
-                                   "of the sweep executor")
+                              help="benchmark the event-kernel hot path "
+                                   "instead of the sweep executor")
     bench_parser.add_argument("--check", action="store_true",
                               help="with --engine: compare against the "
                                    "committed baseline and fail on a >10%% "

@@ -17,20 +17,20 @@ The core concepts:
 
 Scheduler
 ---------
-The default scheduler splits pending work across two structures:
+Pending work lives in two structures:
 
-* a plain FIFO deque of *ready* items — events triggered at the current
-  time and zero-delay ``call_soon`` entries (the bulk of per-packet
-  traffic: descriptor completions, queue hand-offs);
-* a :class:`~repro.sim.calqueue.CalendarQueue` of future timers.
+* a FIFO deque of *ready* items — events triggered at the current time
+  and zero-delay ``call_soon`` entries (the bulk of per-packet traffic:
+  descriptor completions, queue hand-offs);
+* a ``heapq`` of timers — every positive delay, as ``(time, seq, item)``
+  with ``seq`` a monotone counter that keeps equal-time timers FIFO.
 
-At any timestamp every calendar entry precedes every ready entry in the
-legacy heap's ``(time, seq)`` order — calendar entries at time ``t`` were
-scheduled before the clock reached ``t``, ready entries only after — so
-draining "calendar at ``t``, then ready" reproduces the heap's schedule
-exactly.  The pre-overhaul binary-heap scheduler is retained behind
-``Environment(scheduler="heap")`` and is the reference implementation for
-the differential test suite.
+At any timestamp every timer precedes every ready item in ``(time,
+seq)`` order: a timer due at ``t`` was scheduled before the clock
+reached ``t``, a ready item only once it had.  Draining "timers at
+``t``, then ready" therefore dispatches exactly the order of a single
+heap in which every schedule, zero-delay included, takes a sequence
+number (the reference model in :mod:`repro.testing.oracle`).
 
 Example
 -------
@@ -46,13 +46,11 @@ Example
 
 from __future__ import annotations
 
-import heapq
+import operator
 from collections import deque
-from contextlib import contextmanager
-from typing import (Any, Callable, Deque, Generator, Iterable, Iterator,
-                    List, Optional, Tuple, Union)
-
-from .calqueue import CalendarQueue
+from heapq import heappop, heappush
+from typing import (Any, Callable, Deque, Generator, Iterable, List,
+                    Optional, Tuple, Union)
 
 __all__ = [
     "Environment",
@@ -63,10 +61,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
-    "SCHEDULERS",
-    "default_scheduler",
-    "set_default_scheduler",
-    "scheduler_override",
 ]
 
 
@@ -161,7 +155,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._value = value
         self._state = _TRIGGERED
-        self.env._schedule_event(self)
+        self.env._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -173,7 +167,7 @@ class Event:
         self._value = exception
         self._ok = False
         self._state = _TRIGGERED
-        self.env._schedule_event(self)
+        self.env._ready.append(self)
         return self
 
     def _run_callbacks(self) -> None:
@@ -375,86 +369,29 @@ class AnyOf(Event):
             self.fail(event.value)
 
 
-SCHEDULERS = ("calendar", "heap")
-
-_DEFAULT_SCHEDULER: List[str] = ["calendar"]
-
-
-def default_scheduler() -> str:
-    """The scheduler new :class:`Environment` instances use by default."""
-    return _DEFAULT_SCHEDULER[0]
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the process-wide default scheduler; returns the previous one."""
-    if name not in SCHEDULERS:
-        raise SimulationError(
-            f"unknown scheduler {name!r}; expected one of {SCHEDULERS}")
-    previous = _DEFAULT_SCHEDULER[0]
-    _DEFAULT_SCHEDULER[0] = name
-    return previous
-
-
-@contextmanager
-def scheduler_override(name: str) -> Iterator[None]:
-    """Force every :class:`Environment` built in this block onto ``name``.
-
-    The differential test harness uses this to steer scenario builders —
-    which construct their own environments internally — onto the legacy
-    heap scheduler without threading a parameter through every layer.
-    """
-    previous = set_default_scheduler(name)
-    try:
-        yield
-    finally:
-        set_default_scheduler(previous)
-
-
 class Environment:
     """The simulation clock and scheduler.
 
     Time is an integer count of nanoseconds since the start of the run.
-
-    ``scheduler`` selects the pending-queue implementation: ``"calendar"``
-    (default) is the bucket-queue fast path, ``"heap"`` the pre-overhaul
-    binary heap kept as the differential-testing reference.  Both produce
-    byte-identical schedules.
+    Zero-delay work waits in the FIFO ``_ready`` deque; every positive
+    delay is a ``(time, seq, item)`` entry in the ``_heap`` of timers
+    (see the module docstring for why draining "timers at ``t``, then
+    ready" is the ``(time, seq)`` order).
     """
 
-    # Heap entries: (time, seq, event-or-None, callable-or-None); exactly
-    # one of the last two is set.
-    _HeapEntry = Tuple[int, int, Optional[Event], Optional[Callable[[], None]]]
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = _DEFAULT_SCHEDULER[0]
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
+    def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0  # tie-breaker preserving FIFO order at equal times
+        # Ready lane: items due at the current time, in FIFO order —
+        # triggered events and zero-delay call_soon entries.
+        self._ready: Deque[Union[Event, Callable[[], None]]] = deque()
+        self._heap: List[Tuple[int, int, Union[Event, Callable[[], None]]]] = []
         self._monitors: List[Any] = []
         # Split views of _monitors by capability; add_monitor/remove_monitor
         # keep all three in sync.  _monitors stays the union because its
         # emptiness drives the fast/monitored loop switch.
         self._step_monitors: List[Any] = []
         self._advance_monitors: List[Any] = []
-        self.scheduler = scheduler
-        if scheduler == "heap":
-            self._heap: List[Environment._HeapEntry] = []
-            # Route every scheduling/execution entry point to the legacy
-            # implementations; the calendar structures are never created.
-            self._schedule_event = self._schedule_event_heap  # type: ignore[method-assign]
-            self._schedule_timeout = self._schedule_timeout_heap  # type: ignore[method-assign]
-            self.call_soon = self._call_soon_heap  # type: ignore[method-assign]
-            self.step = self._step_heap  # type: ignore[method-assign]
-            self.run = self._run_heap  # type: ignore[method-assign]
-            self.peek = self._peek_heap  # type: ignore[method-assign]
-        else:
-            # Ready lane: items due at the current time, in FIFO order —
-            # triggered events and zero-delay call_soon entries.
-            self._ready: Deque[Union[Event, Callable[[], None]]] = deque()
-            self._cal = CalendarQueue()
 
     @property
     def now(self) -> int:
@@ -497,87 +434,24 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
 
-    # The three scheduling entry points below duplicate CalendarQueue.push's
-    # common case (a future bucket within the horizon, ahead of the scan) to
-    # save the extra call frame on the per-timer hot path; anything else
-    # falls through to the real push.  The condition mirrors push() exactly.
-
-    def _schedule_event(self, event: Event, delay: int = 0) -> None:
-        if delay:
-            seq = self._seq + 1
-            self._seq = seq
-            time = self._now + delay
-            cal = self._cal
-            bidx = time >> cal._shift
-            if cal._cursor < bidx < cal._floor + cal._nbuckets:
-                free = cal._free
-                if free:
-                    e = free.pop()
-                    e[0] = time
-                    e[1] = seq
-                    e[2] = event
-                else:
-                    e = [time, seq, event]
-                cal._buckets[bidx & cal._mask].append(e)
-                count = cal._count + 1
-                cal._count = count
-                if count > cal._grow_at:
-                    cal._maybe_grow(count)
-                return
-            cal.push(time, seq, event)
-        else:
-            self._ready.append(event)
-
     def _schedule_timeout(self, event: Event, delay: int) -> None:
         if delay:
+            if delay.__class__ is not int:
+                delay = _integer_delay(delay)
             seq = self._seq + 1
             self._seq = seq
-            time = self._now + delay
-            cal = self._cal
-            bidx = time >> cal._shift
-            if cal._cursor < bidx < cal._floor + cal._nbuckets:
-                free = cal._free
-                if free:
-                    e = free.pop()
-                    e[0] = time
-                    e[1] = seq
-                    e[2] = event
-                else:
-                    e = [time, seq, event]
-                cal._buckets[bidx & cal._mask].append(e)
-                count = cal._count + 1
-                cal._count = count
-                if count > cal._grow_at:
-                    cal._maybe_grow(count)
-                return
-            cal.push(time, seq, event)
+            heappush(self._heap, (self._now + delay, seq, event))
         else:
             self._ready.append(event)
 
     def call_soon(self, fn: Callable[[], None], delay: int = 0) -> None:
         """Run ``fn()`` after ``delay`` ns (0 = this time step, FIFO)."""
         if delay:
+            if delay.__class__ is not int:
+                delay = _integer_delay(delay)
             seq = self._seq + 1
             self._seq = seq
-            time = self._now + delay
-            cal = self._cal
-            bidx = time >> cal._shift
-            if cal._cursor < bidx < cal._floor + cal._nbuckets:
-                free = cal._free
-                if free:
-                    e = free.pop()
-                    e[0] = time
-                    e[1] = seq
-                    e[2] = fn
-                else:
-                    e = [time, seq, fn]
-                cal._buckets[bidx & cal._mask].append(e)
-                count = cal._count + 1
-                cal._count = count
-                if count > cal._grow_at:
-                    cal._maybe_grow(count)
-                return
-            cal.push(time, seq, fn)
+            heappush(self._heap, (self._now + delay, seq, fn))
         else:
             self._ready.append(fn)
 
@@ -617,24 +491,25 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next scheduled item."""
-        cal = self._cal
-        when = cal.min_time()
-        if when is not None and when == self._now:
-            # Calendar entries at the current time precede every ready
-            # item in (time, seq) order (see the module docstring).
-            item = cal.pop()[2]
+        heap = self._heap
+        if heap and heap[0][0] == self._now:
+            # Timers at the current time precede every ready item in
+            # (time, seq) order (see the module docstring).
+            when = self._now
+            item = heappop(heap)[2]
         elif self._ready:
             when = self._now
             item = self._ready.popleft()
-        elif when is None:
+        elif not heap:
             raise IndexError("step from an empty schedule")
         else:
+            when = heap[0][0]
             if when < self._now:
                 raise SimulationError("time went backwards")
             self._now = when
             for monitor in self._advance_monitors:
                 monitor.on_advance(when)
-            item = cal.pop()[2]
+            item = heappop(heap)[2]
         if isinstance(item, Event):
             item._run_callbacks()
         else:
@@ -661,33 +536,19 @@ class Environment:
     def _run_fast(self, until: Optional[int]) -> bool:
         """Monitor-free run loop; returns False to switch loops.
 
-        This is the engine's hot path, and it deliberately reaches into
-        :class:`CalendarQueue` internals: after ``min_time()`` positions
-        the cursor bucket, the whole run of entries at that timestamp is
-        consumed straight out of the bucket list with zero per-item call
-        frames.  The coupling is one-way and confined to this method (plus
-        the invariants spelled out below); everything outside ``repro.sim``
-        goes through the public API (enforced by simlint).
-
-        Invariants honored while draining inline:
-
-        * ``cal._pos``/``cal._count`` are updated *before* each dispatch —
-          callbacks may push into the active bucket (``insort`` keyed off
-          ``_pos``) or trigger a rebuild (which compacts ``b[:_pos]``).
-        * A rebuild during dispatch replaces ``cal._buckets``; the identity
-          check detects it and re-derives the position via ``min_time()``.
-        * No push can land at the draining timestamp (delays are strictly
-          positive; zero-delay work goes to the ready deque), so the run's
-          extent is fixed once entered — ready items produced by the
-          dispatches run strictly after the run, preserving heap order.
+        The engine's hot path.  Each pass dispatches every timer due at
+        the current time ``t``, then drains the ready deque, then advances
+        the clock to the earliest remaining timer.  Nothing dispatched can
+        push a timer at ``t`` (timer delays are strictly positive), so the
+        run at ``t`` ends exactly when the heap's head moves past it.
         """
         ready = self._ready
-        cal = self._cal
-        min_time = cal.min_time
+        heap = self._heap
         monitors = self._monitors
+        t = self._now
         while True:
-            while ready:
-                item = ready.popleft()
+            while heap and heap[0][0] == t:
+                item = heappop(heap)[2]
                 if isinstance(item, Event):
                     # Inlined Event._run_callbacks.
                     item._state = _PROCESSED
@@ -702,93 +563,55 @@ class Environment:
                             cb(item)
                 else:
                     item()
+            while ready:
+                item = ready.popleft()
+                if isinstance(item, Event):
+                    item._state = _PROCESSED
+                    cb = item._cb0
+                    if cb is not None:
+                        item._cb0 = None
+                        cb(item)
+                    cbs = item._cbs
+                    if cbs is not None:
+                        item._cbs = None
+                        for cb in cbs:
+                            cb(item)
+                else:
+                    item()
             if monitors:
                 return False
-            # Inlined min_time() fast path: the cursor bucket is mid-drain
-            # and its head is not preempted by the overflow heap.  When it
-            # applies, the drain loop below reuses the derived position.
-            t = None
-            if cal._active:
-                b = cal._buckets[cal._cursor & cal._mask]
-                pos = cal._pos
-                if pos < len(b):
-                    far = cal._far
-                    t0 = b[pos][0]
-                    if not far or far[0][0] > t0:
-                        t = t0
-            if t is None:
-                t = min_time()
-                if t is None:
-                    if until is not None:
-                        self._now = until
-                    return True
+            if not heap:
+                if until is not None:
+                    self._now = until
+                return True
+            t = heap[0][0]
             if until is not None and t > until:
                 self._now = until
                 return True
             if t < self._now:
                 raise SimulationError("time went backwards")
             self._now = t
-            while True:
-                cal._floor = cal._cursor
-                bref = cal._buckets
-                b = bref[cal._cursor & cal._mask]
-                pos = cal._pos
-                n = len(b)
-                clean = True
-                while pos < n:
-                    e = b[pos]
-                    if e[0] != t:
-                        break
-                    pos += 1
-                    cal._pos = pos
-                    cal._count -= 1
-                    item = e[2]
-                    if isinstance(item, Event):
-                        item._state = _PROCESSED
-                        cb = item._cb0
-                        if cb is not None:
-                            item._cb0 = None
-                            cb(item)
-                        cbs = item._cbs
-                        if cbs is not None:
-                            item._cbs = None
-                            for cb in cbs:
-                                cb(item)
-                    else:
-                        item()
-                    if cal._buckets is not bref:
-                        # A push during dispatch rebuilt the queue; local
-                        # position state is stale.
-                        clean = False
-                        break
-                    n = len(b)
-                if clean or min_time() != t:
-                    break
 
     def _run_monitored(self, until: Optional[int]) -> bool:
         """Per-step run loop notifying monitors; returns False to switch.
 
-        Cal time steps are retired in bulk with ``drain_due`` — delays
-        are strictly positive, so nothing dispatched from the batch can
-        land at the drained timestamp — then dispatched one item at a
-        time with a per-step monitor notification.  The global dispatch
-        order (cal entries at the current timestamp before ready
-        entries, FIFO within each) is identical to the fast loop's.
+        Each timestamp's timers are popped as one batch before any of
+        them dispatches, then run one item at a time with a per-step
+        monitor notification.  The global dispatch order (timers at the
+        current time before ready entries, FIFO within each) is identical
+        to the fast loop's.
         """
         ready = self._ready
-        cal = self._cal
-        min_time = cal.min_time
-        drain_due = cal.drain_due
+        heap = self._heap
         monitors = self._monitors
         step_monitors = self._step_monitors
         advance_monitors = self._advance_monitors
         batch: List[Any] = []
         while monitors:
-            t = min_time()
-            if t is not None and t <= self._now:
+            if heap and heap[0][0] <= self._now:
+                t = heap[0][0]
                 if t < self._now:
                     raise SimulationError("time went backwards")
-                drain_due(None, batch)
             elif ready:
                 item = ready.popleft()
                 if isinstance(item, Event):
@@ -799,13 +622,14 @@ class Environment:
                 for monitor in step_monitors:
                     monitor.on_step(when, item)
                 continue
-            elif t is None:
+            elif not heap:
                 if until is not None and until > self._now:
                     self._now = until
                     for monitor in advance_monitors:
                         monitor.on_advance(until)
                 return True
             else:
+                t = heap[0][0]
                 if until is not None and t > until:
                     if until > self._now:
                         self._now = until
@@ -818,8 +642,8 @@ class Environment:
                 # strictly before t.
                 for monitor in advance_monitors:
                     monitor.on_advance(t)
-                drain_due(None, batch)
-            when = t
+            while heap and heap[0][0] == t:
+                batch.append(heappop(heap)[2])
             # Dispatch the whole batch even if a callback detaches the
             # last monitor mid-way; the notification check per item keeps
             # attach/detach-during-dispatch semantics exact.
@@ -830,7 +654,7 @@ class Environment:
                     item()
                 if monitors:
                     for monitor in step_monitors:
-                        monitor.on_step(when, item)
+                        monitor.on_step(t, item)
             del batch[:]
         return False
 
@@ -838,66 +662,19 @@ class Environment:
         """Time of the next scheduled item, or None if none is pending."""
         if self._ready:
             return self._now
-        return self._cal.min_time()
-
-    # -- legacy heap scheduler ---------------------------------------------
-    # The pre-overhaul implementation, byte-for-byte semantics, selected
-    # with Environment(scheduler="heap").  It is the reference model the
-    # differential suite runs every scenario against.
-
-    def _schedule_event_heap(self, event: Event, delay: int = 0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event, None))
-
-    def _schedule_timeout_heap(self, event: Event, delay: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event, None))
-
-    def _call_soon_heap(self, fn: Callable[[], None], delay: int = 0) -> None:
-        """Run ``fn()`` after ``delay`` ns (0 = this time step, FIFO)."""
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, None, fn))
-
-    def _step_heap(self) -> None:
-        """Process the single next scheduled item."""
-        when, _seq, event, fn = heapq.heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("time went backwards")
-        if when > self._now:
-            self._now = when
-            for monitor in self._advance_monitors:
-                monitor.on_advance(when)
-        if event is not None:
-            event._run_callbacks()
-        else:
-            assert fn is not None  # heap entries carry one of the two
-            fn()
-        if self._step_monitors:
-            item: Any = event if event is not None else fn
-            for monitor in self._step_monitors:
-                monitor.on_step(when, item)
-
-    def _run_heap(self, until: Optional[int] = None) -> None:
-        """Run until the heap empties or the clock would pass ``until``."""
-        if until is not None and until < self._now:
-            raise SimulationError("cannot run backwards in time")
         heap = self._heap
-        step = self.step
-        while heap:
-            if until is not None and heap[0][0] > until:
-                self._advance_clock(until)
-                return
-            step()
-        if until is not None:
-            self._advance_clock(until)
+        return heap[0][0] if heap else None
 
-    def _advance_clock(self, t: int) -> None:
-        """Advance the clock to ``t`` (end of run), notifying advance hooks."""
-        if t > self._now:
-            self._now = t
-            for monitor in self._advance_monitors:
-                monitor.on_advance(t)
 
-    def _peek_heap(self) -> Optional[int]:
-        """Time of the next scheduled item, or None if the heap is empty."""
-        return self._heap[0][0] if self._heap else None
+def _integer_delay(delay: Any) -> int:
+    """``delay`` as an exact integer count of ns, or SimulationError.
+
+    Only reached for a non-``int`` delay: a float would break the
+    integer-nanosecond ordering contract, so anything without an exact
+    ``__index__`` is refused rather than rounded.
+    """
+    try:
+        return operator.index(delay)
+    except TypeError:
+        raise SimulationError(
+            f"delay must be an integer number of ns, got {delay!r}") from None

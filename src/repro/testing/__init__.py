@@ -5,9 +5,10 @@ instead of each test hand-rolling a testbed and ad-hoc assertions, they
 share one registry of canonical scenarios (:mod:`.scenarios`), one
 battery of physical-consistency invariants (:mod:`.invariants`), one
 golden-file regression format (:mod:`.golden`), bit-reproducibility
-checks (:mod:`.determinism`), and a miniature property-based testing
-harness (:mod:`.properties`).  ``python -m repro verify`` drives the same
-machinery from the command line.
+checks (:mod:`.determinism`), a pure-``heapq`` reference scheduler for
+differential tests of the kernel (:mod:`.oracle`), and a miniature
+property-based testing harness (:mod:`.properties`).  ``python -m repro
+verify`` drives the same machinery from the command line.
 """
 
 from .determinism import (
@@ -15,13 +16,6 @@ from .determinism import (
     check_deterministic,
     compare_runs,
     metrics_digest,
-)
-from .differential import (
-    REFERENCE_SCHEDULER,
-    diff_all,
-    diff_scenario,
-    metrics_json,
-    run_under,
 )
 from .golden import (
     GoldenMismatch,
@@ -31,6 +25,8 @@ from .golden import (
     default_golden_dir,
     golden_path,
     load_golden,
+    metrics_json,
+    normalize_chrome_trace,
     save_golden,
 )
 from .invariants import (
@@ -44,6 +40,7 @@ from .invariants import (
     check_port,
     verify_testbed,
 )
+from .oracle import HeapOracle
 from .properties import PropertyFailure, case_rng, replay_case, run_property
 from .scenarios import (
     SCENARIOS,
@@ -61,10 +58,9 @@ __all__ = [
     "scenario_names",
     "GoldenMismatch", "REGEN_ENV", "assert_matches_golden",
     "compare_metrics", "default_golden_dir", "golden_path", "load_golden",
-    "save_golden",
+    "metrics_json", "normalize_chrome_trace", "save_golden",
     "assert_deterministic", "check_deterministic", "compare_runs",
     "metrics_digest",
-    "REFERENCE_SCHEDULER", "diff_all", "diff_scenario", "metrics_json",
-    "run_under",
+    "HeapOracle",
     "PropertyFailure", "case_rng", "replay_case", "run_property",
 ]

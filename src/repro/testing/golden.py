@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Any, Dict, List, Union
 
 from ..envvars import REGEN_GOLDENS_ENV, regen_goldens_requested
 
@@ -32,6 +32,8 @@ __all__ = [
     "compare_metrics",
     "assert_matches_golden",
     "GoldenMismatch",
+    "metrics_json",
+    "normalize_chrome_trace",
 ]
 
 REGEN_ENV = REGEN_GOLDENS_ENV  # re-exported name used in error messages
@@ -140,3 +142,30 @@ def assert_matches_golden(name: str, metrics: Metrics,
             f"scenario {name!r} diverged from {path} "
             f"({len(diffs)} metric(s)):\n{listing}\n"
             f"If the change is intentional, regenerate with {REGEN_ENV}=1.")
+
+
+def metrics_json(metrics: Dict[str, Any]) -> str:
+    """Canonical byte representation of a scenario's metrics."""
+    return json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+
+
+def normalize_chrome_trace(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """Rewrite raw trace ids to dense first-appearance indexes.
+
+    Message/request ids come from process-global counters, so their
+    absolute values depend on how many runs preceded this one in the
+    process.  The export already maps each id to a dense ``tid``; this
+    rewrites the raw copy kept in ``args`` the same way so two runs of
+    the same schedule compare byte-identical.
+    """
+    ids: Dict[str, str] = {}
+    events = []
+    for record in doc.get("traceEvents", []):
+        args = record.get("args", {})
+        raw = args.get("trace_id")
+        if raw is not None:
+            args = dict(args,
+                        trace_id=ids.setdefault(raw, str(len(ids) + 1)))
+            record = dict(record, args=args)
+        events.append(record)
+    return dict(doc, traceEvents=events)

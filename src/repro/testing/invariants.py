@@ -63,18 +63,12 @@ class EngineMonitor:
     ``monitor.steps`` / ``monitor.last_ns`` describe what executed.
     """
 
-    #: When True (class-wide or per-instance), every step's timestamp is
-    #: appended to ``times`` — the engine benchmark uses this to capture a
-    #: scenario's step-time profile for scheduler replay.
-    capture_times = False
-
     def __init__(self, env: Environment):
         self.env = env
         self.steps = 0
         self.events_processed = 0
         self.callbacks_run = 0
         self.last_ns = env.now
-        self.times: List[int] = []
         self.violations: List[InvariantViolation] = []
 
     @classmethod
@@ -88,8 +82,6 @@ class EngineMonitor:
 
     def on_step(self, now: int, item) -> None:
         self.steps += 1
-        if self.capture_times:
-            self.times.append(now)
         if now < self.last_ns:
             self.violations.append(InvariantViolation(
                 "clock-monotonic", "environment",

@@ -16,7 +16,6 @@ import pytest
 
 from repro.bench_engine import (
     DEFAULT_OUT,
-    HEADLINE_TARGET,
     SCHEMA,
     check_regression,
     validate_payload,
@@ -25,18 +24,17 @@ from repro.bench_engine import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _payload(cal_b32=4_000_000.0, cal_replay=900_000.0):
+def _payload(b32=4_000_000.0, fabric=30_000.0):
     """A minimal, schema-valid fabricated payload."""
-    def row(name, mode, cal, batch=None):
+    def row(name, mode, rate, batch=None):
         return {
             "name": name, "mode": mode, "path": "fig12", "lanes": 64,
             "events": 2_000_000, "background": 1_000_000, "batch": batch,
-            "events_per_sec": {"heap": 600_000.0, "calendar": cal},
-            "speedup": round(cal / 600_000.0, 3),
+            "events_per_sec": rate,
         }
 
-    rows = [row("completion_storm_b32", "poll-batch-storm", cal_b32, 32),
-            row("replay_fig12", "captured-replay", cal_replay)]
+    rows = [row("completion_storm_b32", "poll-batch-storm", b32, 32),
+            row("fabric_storm_r4", "fabric-storm", fabric)]
     lint = {"name": "lint_tree", "files": 116, "findings": 0,
             "cold_wall_s": 0.5, "warm_wall_s": 0.06,
             "warmup_x": round(0.5 / 0.06, 2)}
@@ -47,15 +45,9 @@ def _payload(cal_b32=4_000_000.0, cal_replay=900_000.0):
         "rows": rows,
         "artifacts": [{
             "scenario": "fig12:apache/vrio", "path": "fig12",
-            "kind": "figure-point",
-            "wall_s": {"heap": 0.6, "calendar": 0.6},
-            "speedup": 1.0, "identical_metrics": True,
+            "kind": "figure-point", "wall_s": 0.6,
         }],
         "lint": lint,
-        "headline": {"row": "completion_storm_b32",
-                     "speedup": rows[0]["speedup"],
-                     "target_x": HEADLINE_TARGET,
-                     "pass": rows[0]["speedup"] >= HEADLINE_TARGET},
     }
 
 
@@ -67,33 +59,34 @@ def test_gate_passes_on_equal_rates():
 
 
 def test_gate_passes_on_improvement_and_small_dip():
-    baseline = _payload(cal_b32=4_000_000.0)
-    assert check_regression(_payload(cal_b32=5_000_000.0), baseline) == []
+    baseline = _payload(b32=4_000_000.0)
+    assert check_regression(_payload(b32=5_000_000.0), baseline) == []
     # A 5% dip is inside the 10% tolerance.
-    assert check_regression(_payload(cal_b32=3_800_000.0), baseline) == []
+    assert check_regression(_payload(b32=3_800_000.0), baseline) == []
 
 
 def test_gate_fails_on_regression_beyond_tolerance():
-    baseline = _payload(cal_b32=4_000_000.0)
-    problems = check_regression(_payload(cal_b32=3_500_000.0), baseline)
+    baseline = _payload(b32=4_000_000.0)
+    problems = check_regression(_payload(b32=3_500_000.0), baseline)
     assert len(problems) == 1
     assert "completion_storm_b32" in problems[0]
     # The other row did not regress and is not reported.
-    assert "replay_fig12" not in problems[0]
+    assert "fabric_storm_r4" not in problems[0]
 
 
 def test_gate_reports_rows_missing_from_current():
     baseline = _payload()
     current = _payload()
     current["rows"] = [r for r in current["rows"]
-                      if r["name"] != "replay_fig12"]
+                      if r["name"] != "fabric_storm_r4"]
     problems = check_regression(current, baseline)
-    assert any("replay_fig12" in p and "not measured" in p for p in problems)
+    assert any("fabric_storm_r4" in p and "not measured" in p
+               for p in problems)
 
 
 def test_gate_skips_rows_at_different_scale():
-    baseline = _payload(cal_b32=4_000_000.0)
-    current = _payload(cal_b32=1_000_000.0)  # would regress hard ...
+    baseline = _payload(b32=4_000_000.0)
+    current = _payload(b32=1_000_000.0)  # would regress hard ...
     for row in current["rows"]:
         row["events"] = 200_000  # ... but at quick scale: not comparable
     assert check_regression(current, baseline) == []
@@ -124,8 +117,8 @@ def test_gate_reports_lint_missing_from_current():
 
 
 def test_gate_tolerance_is_configurable():
-    baseline = _payload(cal_b32=4_000_000.0)
-    current = _payload(cal_b32=3_800_000.0)
+    baseline = _payload(b32=4_000_000.0)
+    current = _payload(b32=3_800_000.0)
     assert check_regression(current, baseline, tolerance=0.01) != []
 
 
@@ -139,13 +132,9 @@ def test_validate_accepts_fabricated_payload():
 @pytest.mark.parametrize("mutate,needle", [
     (lambda p: p.update(schema="bogus/v9"), "schema"),
     (lambda p: p.update(rows=[]), "rows"),
-    (lambda p: p.pop("headline"), "headline"),
     (lambda p: p["rows"][0].pop("events_per_sec"), "events_per_sec"),
-    (lambda p: p["rows"][0]["events_per_sec"].update(calendar=0),
-     "events_per_sec"),
-    (lambda p: p["artifacts"][0].update(identical_metrics=False),
-     "metrics differ"),
-    (lambda p: p["headline"].update(row="nonexistent"), "not in rows"),
+    (lambda p: p["rows"][0].update(events_per_sec=0), "events_per_sec"),
+    (lambda p: p.update(artifacts=[]), "artifacts"),
     (lambda p: p["lint"].pop("warmup_x"), "warmup_x"),
     (lambda p: p["lint"].update(files=0), "no files"),
 ])
@@ -162,8 +151,6 @@ def test_committed_baseline_is_valid_and_meets_target():
     payload = json.loads(path.read_text())
     assert validate_payload(payload) == []
     assert payload["quick"] is False
-    assert payload["headline"]["pass"] is True
-    assert payload["headline"]["speedup"] >= HEADLINE_TARGET
     # The committed lint row: clean tree, cache pulling its weight.
     from repro.bench_engine import LINT_WARMUP_TARGET
     assert payload["lint"]["findings"] == 0
@@ -188,7 +175,7 @@ def test_check_mode_fails_against_inflated_baseline(tmp_path, monkeypatch):
     # check_regression via main() against an impossible baseline.
     from repro import bench_engine
 
-    inflated = _payload(cal_b32=4e12, cal_replay=4e12)
+    inflated = _payload(b32=4e12, fabric=4e12)
     baseline_file = tmp_path / "BENCH_engine.json"
     baseline_file.write_text(json.dumps(inflated))
     monkeypatch.setattr(bench_engine, "run_engine_bench",
@@ -214,6 +201,6 @@ def test_quick_bench_subprocess_smoke(tmp_path):
     assert validate_payload(payload) == []
     assert payload["quick"] is True
     names = {r["name"] for r in payload["rows"]}
-    assert {"completion_storm_b32", "replay_fig12", "replay_fig13"} <= names
+    assert names == {"completion_storm_b32", "timeline_storm_b32",
+                     "fabric_storm_r4"}
     assert payload["lint"]["files"] > 0
-    assert all(a["identical_metrics"] for a in payload["artifacts"])

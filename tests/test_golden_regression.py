@@ -6,8 +6,12 @@ Regenerate after an intentional behaviour change with::
     REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_golden_regression.py
 """
 
+import hashlib
+import json
+
 import pytest
 
+from repro.telemetry import TelemetrySession
 from repro.testing import (
     GoldenMismatch,
     REGEN_ENV,
@@ -17,6 +21,9 @@ from repro.testing import (
     default_golden_dir,
     golden_path,
     load_golden,
+    metrics_json,
+    normalize_chrome_trace,
+    run_scenario,
     save_golden,
     scenario_names,
     verify_testbed,
@@ -35,6 +42,36 @@ def test_every_golden_has_a_scenario(golden_dir):
     """No stale fingerprints for scenarios that no longer exist."""
     on_disk = {p.stem for p in golden_dir.glob("*.json")}
     assert on_disk == set(scenario_names())
+
+
+# SHA-256 of apache_vrio's telemetry exports at seed 0: the metrics
+# snapshot and the Chrome trace with trace ids made dense.  The metric
+# goldens above do not cover these bytes.  Recompute with the same
+# serialization after an intentional telemetry or datapath change.
+APACHE_VRIO_EXPORT_SHA256 = {
+    "metrics": "e8f6dfbc20c3ecee6a8b5211acd8fe668054a1f55be3fb15c13bc813500e73f1",
+    "telemetry_metrics":
+        "ddf4c66f71b1c7f6e9483b0b6957b32dc7edc434ba67e3fa11e8ba39b5823db6",
+    "chrome_trace":
+        "f529860545bd053142da9f46399205bbfb7d5ef7f8f358ecdc22878a75c35108",
+}
+
+
+def test_telemetry_exports_pinned():
+    with TelemetrySession() as session:
+        result = run_scenario("apache_vrio", seed=0)
+    bound = session.for_testbed(result.testbed)
+    exports = {
+        "metrics": metrics_json(result.metrics),
+        "telemetry_metrics": json.dumps(
+            bound.snapshot(), sort_keys=True, default=str),
+        "chrome_trace": json.dumps(
+            normalize_chrome_trace(bound.chrome_trace()),
+            sort_keys=True, default=str),
+    }
+    digests = {kind: hashlib.sha256(text.encode()).hexdigest()
+               for kind, text in exports.items()}
+    assert digests == APACHE_VRIO_EXPORT_SHA256
 
 
 def test_default_golden_dir_finds_repo_goldens():

@@ -8,6 +8,7 @@ from repro.sim import (
     Interrupt,
     SimulationError,
 )
+from repro.testing import HeapOracle
 
 
 def test_clock_starts_at_zero():
@@ -301,46 +302,61 @@ def test_allof_detaches_outstanding_on_failure():
     assert pending.callbacks == ()
 
 
-def test_anyof_losers_detached_under_heap_scheduler_too():
-    env = Environment(scheduler="heap")
-    fast = env.timeout(1, value="a")
-    slow = env.timeout(500, value="b")
-    race = env.any_of([fast, slow])
-    env.run(until=5)
-    assert race.value == (fast, "a")
-    assert slow.callbacks == ()
+@pytest.mark.parametrize("schedule", [
+    lambda env: env.timeout(1.5),
+    lambda env: env.call_soon(lambda: None, delay=2.5),
+    lambda env: env.schedule_at(3.5, lambda: None),
+], ids=["timeout", "call_soon", "schedule_at"])
+def test_float_delay_rejected(schedule):
+    env = Environment()
+    with pytest.raises(SimulationError, match=r"integer number of ns, got \d\.5"):
+        schedule(env)
+    assert env.peek() is None  # nothing half-scheduled
 
 
-def test_environment_rejects_unknown_scheduler():
-    with pytest.raises(SimulationError):
-        Environment(scheduler="splay-tree")
+def test_int_subclass_delays_accepted():
+    class Ns(int):
+        pass
+
+    env = Environment()
+    seen = []
+    env.timeout(Ns(3)).add_callback(lambda ev: seen.append(("timeout", env.now)))
+    env.call_soon(lambda: seen.append(("soon", env.now)), delay=Ns(2))
+    env.schedule_at(Ns(4), lambda: seen.append(("at", env.now)))
+    env.run()
+    assert seen == [("soon", 2), ("timeout", 3), ("at", 4)]
+    assert type(env.now) is int
 
 
-def test_scheduler_override_scopes_default():
-    from repro.sim import default_scheduler, scheduler_override
+def test_process_schedule_matches_heap_oracle():
+    """Processes on timeouts dispatch in the single-heap reference order."""
+    env = Environment()
+    got = []
 
-    assert default_scheduler() == "calendar"
-    with scheduler_override("heap"):
-        assert default_scheduler() == "heap"
-        assert Environment().scheduler == "heap"
-    assert default_scheduler() == "calendar"
-    assert Environment().scheduler == "calendar"
+    def proc(env, tag, delay):
+        for i in range(20):
+            yield env.timeout(delay + (i % 3))
+            got.append((env.now, tag))
 
+    for tag in range(6):
+        env.process(proc(env, tag, tag + 1))
+    env.call_soon(lambda: got.append((env.now, "soon")))
+    env.run()
 
-def test_heap_and_calendar_schedules_identical():
-    def drive(scheduler):
-        env = Environment(scheduler=scheduler)
-        log = []
+    # The same program on the oracle: a process start is one zero-delay
+    # hop, then one timer per timeout it yields.
+    oracle = HeapOracle()
+    want = []
 
-        def proc(env, tag, delay):
-            for i in range(20):
-                yield env.timeout(delay + (i % 3))
-                log.append((env.now, tag))
+    def resume(tag, delay, i=0):
+        if i:
+            want.append((oracle.now, tag))
+        if i < 20:
+            oracle.call_soon(lambda: resume(tag, delay, i + 1),
+                             delay + (i % 3))
 
-        for tag in range(6):
-            env.process(proc(env, tag, tag + 1))
-        env.call_soon(lambda: log.append((env.now, "soon")))
-        env.run()
-        return log
-
-    assert drive("heap") == drive("calendar")
+    for tag in range(6):
+        oracle.call_soon(lambda tag=tag: resume(tag, tag + 1))
+    oracle.call_soon(lambda: want.append((oracle.now, "soon")))
+    oracle.run()
+    assert got == want

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.sim import Environment, scheduler_override
+from repro.sim import Environment
 from repro.sim.stats import percentile
 from repro.telemetry import (
     DEFAULT_WINDOW_NS,
@@ -30,9 +30,8 @@ WIDTH = 1_000  # test window width (ns)
 
 # -- engine advance monitors -------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_on_advance_fires_before_new_timestamp_dispatches(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_on_advance_fires_before_new_timestamp_dispatches():
+    env = Environment()
     log = []
 
     class Advance:
@@ -58,8 +57,8 @@ def test_timeline_is_pure_advance_monitor():
 
 # -- windowed timeline -------------------------------------------------------
 
-def _env_with_timeline(registry=None, scheduler="calendar"):
-    env = Environment(scheduler=scheduler)
+def _env_with_timeline(registry=None):
+    env = Environment()
     timeline = Timeline(WIDTH, registry=registry)
     env.add_monitor(timeline)
     return env, timeline
@@ -364,15 +363,13 @@ def test_flight_recorder_pinned_entries_survive_eviction():
 
 # -- bit-determinism across the registry -------------------------------------
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_all_scenarios_bit_identical_with_timeline_bound(scheduler):
+def test_all_scenarios_bit_identical_with_timeline_bound():
     for name in scenario_names():
-        with scheduler_override(scheduler):
-            reference = run_scenario(name, seed=0)
-            with TelemetrySession(
-                    timeline_width_ns=DEFAULT_WINDOW_NS) as session:
-                observed = run_scenario(name, seed=0)
-        assert observed.metrics == reference.metrics, (name, scheduler)
+        reference = run_scenario(name, seed=0)
+        with TelemetrySession(
+                timeline_width_ns=DEFAULT_WINDOW_NS) as session:
+            observed = run_scenario(name, seed=0)
+        assert observed.metrics == reference.metrics, name
         telemetry = session.for_testbed(observed.testbed)
         assert telemetry.timeline is not None
         assert telemetry.timeline.windows
@@ -471,28 +468,23 @@ def test_verify_cli_observe_smoke(capsys):
 def test_timeline_storm_rate_and_payload_validation():
     from repro import bench_engine
 
-    rate = bench_engine._timeline_storm_rate("calendar", 2_000, 1_000, 8)
+    rate = bench_engine._storm_rate(2_000, 1_000, 8, timeline=True)
     assert rate > 0
     payload = {
         "schema": bench_engine.SCHEMA,
         "rows": [{
             "name": "timeline_storm_b32", "mode": "timeline-storm",
             "path": "observe", "lanes": 64, "events": 1000,
-            "background": 10, "batch": 32,
-            "events_per_sec": {"heap": 1.0, "calendar": 2.0},
-            "speedup": 2.0,
+            "background": 10, "batch": 32, "events_per_sec": 2.0,
         }],
-        "artifacts": [{"scenario": "x", "path": "y",
-                       "wall_s": {"heap": 1, "calendar": 1},
-                       "speedup": 1.0, "identical_metrics": True}],
-        "headline": {"row": "timeline_storm_b32", "speedup": 2.0},
+        "artifacts": [{"scenario": "x", "path": "y", "wall_s": 1.0}],
     }
     problems = bench_engine.validate_payload(payload)
     assert any("unbound_events_per_sec" in p for p in problems)
     assert any("timeline_overhead" in p for p in problems)
     row = payload["rows"][0]
-    row["unbound_events_per_sec"] = {"heap": 1.5, "calendar": 4.0}
-    row["timeline_overhead"] = {"heap": 0.33, "calendar": 0.5}
+    row["unbound_events_per_sec"] = 4.0
+    row["timeline_overhead"] = 0.5
     assert bench_engine.validate_payload(payload) == []
 
 
@@ -503,9 +495,7 @@ def test_check_regression_gates_timeline_row():
         return {"rows": [{
             "name": "timeline_storm_b32", "mode": "timeline-storm",
             "path": "observe", "lanes": 64, "events": 1000,
-            "background": 10, "batch": 32,
-            "events_per_sec": {"heap": 1.0, "calendar": rate},
-            "speedup": rate,
+            "background": 10, "batch": 32, "events_per_sec": rate,
         }]}
 
     assert bench_engine.check_regression(payload(95.0), payload(100.0)) == []
