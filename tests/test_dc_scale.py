@@ -1,5 +1,5 @@
-"""Unit tests for the dc_scale artifact: determinism and the fleet
-consolidation cost curve."""
+"""Unit tests for the dc_scale artifact: determinism, independence from
+how the scheduler is driven, and the fleet consolidation cost curve."""
 
 import json
 
@@ -12,6 +12,7 @@ from repro.experiments.dc_scale import (
     run_dc_scale,
 )
 from repro.sim import ms
+from tests.drive_modes import DRIVE_MODES, drive_mode
 
 
 def small_params():
@@ -36,6 +37,15 @@ def test_dc_point_is_deterministic():
     a = _dc_point(small_params())
     b = _dc_point(small_params())
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_dc_point_is_scheduler_independent():
+    results = {"run": json.dumps(_dc_point(small_params()), sort_keys=True)}
+    for mode in DRIVE_MODES:
+        with drive_mode(mode):
+            results[mode] = json.dumps(_dc_point(small_params()),
+                                       sort_keys=True)
+    assert len(set(results.values())) == 1, results
 
 
 def test_run_dc_scale_sweeps_the_grid():
