@@ -20,17 +20,16 @@ models [--list | --json]
 costs
     Dump the calibrated cost-model constants.
 verify [--scenario NAME] [--update-goldens] [--list] [--telemetry]
-       [--lint] [--engine] [--jobs N] [--no-cache] [--cache-dir D]
+       [--faults] [--lint] [--observe] [--jobs N] [--no-cache]
+       [--cache-dir D]
     Run the verification harness: every canonical scenario is executed,
     audited against the simulation invariants, re-run to prove bit
     determinism, and compared to its committed golden fingerprint.
     ``--telemetry`` adds a pass validating each scenario's metrics and
     Chrome-trace exports.  ``--lint`` adds the simlint static-analysis
-    pass over the source tree.  ``--engine`` adds the engine smoke: a
-    small completion storm must run to completion and the committed
-    ``BENCH_engine.json`` must be schema-valid.  Scenarios fan
-    out over ``--jobs`` processes and replay from the result cache when
-    the code is unchanged.
+    pass over the source tree.  ``--observe`` adds the windowed-telemetry
+    smoke.  Scenarios fan out over ``--jobs`` processes and replay from
+    the result cache when the code is unchanged.
 lint [PATH ...] [--json] [--baseline FILE] [--update-baseline]
      [--only CODE] [--list-rules] [--project] [--jobs N] [--no-cache]
      [--changed]
@@ -63,17 +62,9 @@ observe SCENARIO [--seed N] [--trace PATH] [--json FILE] [--csv FILE]
     the p99-dominating stage, ``--flamegraph`` folded-stack + speedscope
     profiles, and the ``--slo`` family evaluates a declarative SLO probe
     per window.  Unknown scenarios exit 2 with the valid listing.
-bench [ARTIFACT ...] [--quick] [--jobs N] [--out PATH]
-    Time each artifact's regeneration three ways — serial cold, parallel
-    cold, and warm-cache — and write the timings to ``BENCH_sweep.json``.
-bench --engine [--quick] [--check] [--out PATH]
-    Benchmark the event-kernel hot path: events/sec of a completion
-    storm (unbound and timeline-bound) and a fabric relay storm,
-    end-to-end artifact wall times, and the whole-tree project lint
-    (cold vs warm symbol cache); writes ``BENCH_engine.json``.
-    ``--check`` compares against the committed baseline instead and
-    fails on a >10% events/sec regression in any row, a lint cache
-    warm-up below 5x, or new lint findings.
+
+Performance is measured outside the package: ``python3 bench/run.py``
+times real artifacts end to end and per layer (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -381,10 +372,6 @@ def _verify_command(args) -> int:
         issue = _lint_smoke_line()
         if issue is not None:
             failures += 1
-    if args.engine:
-        issue = _engine_smoke_line()
-        if issue is not None:
-            failures += 1
     if args.observe:
         issue = _observe_smoke_line()
         if issue is not None:
@@ -421,19 +408,6 @@ def _lint_smoke_line() -> Optional[str]:
     for finding in result.all_findings():
         print(f"    {finding.format()}")
     return f"{len(result.all_findings())} lint finding(s)"
-
-
-def _engine_smoke_line() -> Optional[str]:
-    """Run the engine smoke and print its verdict row."""
-    from .bench_engine import run_engine_smoke
-
-    issue = run_engine_smoke()
-    if issue is None:
-        print(f"{'engine':24s} {'ok':>10s}")
-    else:
-        print(f"{'engine':24s} {'FAILED':>10s}")
-        print(f"    {issue}")
-    return issue
 
 
 def _observe_smoke(name: str = "rr_vrio", seed: int = 0) -> Optional[str]:
@@ -526,86 +500,6 @@ def _faults_command(args) -> int:
     if unrecovered:
         print(f"\n{unrecovered} fault(s) went UNRECOVERED")
         return 1
-    return 0
-
-
-def _bench_command(args) -> int:
-    """Time artifact regeneration: serial cold, parallel cold, warm cache.
-
-    Writes ``BENCH_sweep.json`` (or ``--out``) with per-artifact wall
-    times and speedups — the repo's performance trajectory record.
-    """
-    import json
-    import os
-    import tempfile
-    import time
-
-    if args.engine:
-        from .bench_engine import DEFAULT_OUT, main as engine_main
-        if args.artifacts:
-            print("--engine takes no artifact arguments", file=sys.stderr)
-            return 2
-        engine_argv = ["--out", args.out or DEFAULT_OUT]
-        if args.quick:
-            engine_argv.append("--quick")
-        if args.check:
-            engine_argv.append("--check")
-        return engine_main(engine_argv)
-    if args.check:
-        print("--check requires --engine", file=sys.stderr)
-        return 2
-    if args.out is None:
-        args.out = "BENCH_sweep.json"
-
-    names = args.artifacts or sorted(ARTIFACTS)
-    unknown = [n for n in names if n not in ARTIFACTS]
-    if unknown:
-        print(f"unknown artifact(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"valid artifacts: {', '.join(sorted(ARTIFACTS))}",
-              file=sys.stderr)
-        return 2
-
-    results = []
-    for name in names:
-        runner = ARTIFACTS[name][1]
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-            cold_cache = SweepCache(tmp)
-            t0 = time.perf_counter()
-            runner(args.quick, jobs=1, cache=cold_cache)
-            serial_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            runner(args.quick, jobs=args.jobs, cache=None)
-            parallel_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            runner(args.quick, jobs=1, cache=cold_cache)
-            warm_s = time.perf_counter() - t0
-        row = {
-            "artifact": name,
-            "serial_s": round(serial_s, 4),
-            "parallel_s": round(parallel_s, 4),
-            "warm_cache_s": round(warm_s, 4),
-            "speedup_parallel": round(serial_s / parallel_s, 2),
-            "speedup_warm_cache": round(serial_s / warm_s, 2),
-        }
-        results.append(row)
-        print(f"{name:10s} serial {serial_s:7.2f}s  "
-              f"parallel({args.jobs}) {parallel_s:7.2f}s  "
-              f"warm cache {warm_s:7.3f}s  "
-              f"({row['speedup_warm_cache']:.0f}x)")
-
-    payload = {
-        "benchmark": "sweep-executor",
-        "quick": bool(args.quick),
-        "jobs": args.jobs,
-        "cpu_count": os.cpu_count(),
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\ntimings written to {args.out}")
     return 0
 
 
@@ -872,7 +766,9 @@ def _main(argv: Optional[list] = None) -> int:
                                  "separated; see 'repro models --list')")
     _add_sweep_flags(run_parser)
     verify_parser = sub.add_parser(
-        "verify", help="run the verification harness")
+        "verify", help="run the verification harness",
+        epilog="verify checks correctness only; performance is measured "
+               "by 'python3 bench/run.py' (see bench/README.md)")
     _add_sweep_flags(verify_parser)
     verify_parser.add_argument("--scenario", action="append", default=None,
                                metavar="NAME",
@@ -896,11 +792,6 @@ def _main(argv: Optional[list] = None) -> int:
     verify_parser.add_argument("--lint", action="store_true",
                                help="also run the simlint static-analysis "
                                     "pass over the source tree")
-    verify_parser.add_argument("--engine", action="store_true",
-                               help="also run the engine smoke: a small "
-                                    "completion storm must run and the "
-                                    "committed BENCH_engine.json must be "
-                                    "schema-valid")
     verify_parser.add_argument("--observe", action="store_true",
                                help="also run the windowed-telemetry smoke: "
                                     "timeline binding must not perturb the "
@@ -980,29 +871,6 @@ def _main(argv: Optional[list] = None) -> int:
                                 metavar="US",
                                 help="SLO clause: max tolerated consecutive "
                                      "zero-throughput time, in microseconds")
-    bench_parser = sub.add_parser(
-        "bench", help="time artifact regeneration (serial/parallel/cached)")
-    bench_parser.add_argument("artifacts", metavar="ARTIFACT", nargs="*",
-                              help="artifacts to time (default: all)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="coarser sweeps, shorter runs")
-    bench_parser.add_argument("--jobs", type=_jobs_arg, default="auto",
-                              metavar="N",
-                              help="worker processes for the parallel pass "
-                                   "(default: auto)")
-    bench_parser.add_argument("--out", metavar="PATH",
-                              default=None,
-                              help="output JSON path (default: "
-                                   "BENCH_sweep.json, or BENCH_engine.json "
-                                   "with --engine)")
-    bench_parser.add_argument("--engine", action="store_true",
-                              help="benchmark the event-kernel hot path "
-                                   "instead of the sweep executor")
-    bench_parser.add_argument("--check", action="store_true",
-                              help="with --engine: compare against the "
-                                   "committed baseline and fail on a >10%% "
-                                   "events/sec regression instead of "
-                                   "rewriting it")
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -1028,8 +896,6 @@ def _main(argv: Optional[list] = None) -> int:
         return _faults_command(args)
     if args.command == "observe":
         return _observe_command(args)
-    if args.command == "bench":
-        return _bench_command(args)
     if args.command == "run":
         if args.artifact != "all" and args.artifact not in ARTIFACTS:
             print(f"unknown artifact: {args.artifact}", file=sys.stderr)

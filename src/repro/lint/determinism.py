@@ -19,8 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Optional, Set
 
-from .framework import CLI_MODULES, ENV_MODULES, FileContext, Rule, \
-    register_rule
+from .framework import ENV_MODULES, FileContext, Rule, register_rule
 
 __all__ = []  # rules self-register; nothing to export
 
@@ -48,8 +47,6 @@ class WallClockRule(Rule):
                  "the sweep cache both key on bit-identical output).")
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if ctx.is_module(*CLI_MODULES):
-            return  # the CLI may time real wall-clock work (bench)
         attr = _call_target(node)
         if attr is None:
             return

@@ -65,11 +65,10 @@ class FileContext:
         return any(self.path.endswith(tail) for tail in tails)
 
 
-# Modules allowed to touch the process environment / wall clock: the
-# command-line surface plus the one sanctioned env-access module.
-CLI_MODULES: Tuple[str, ...] = ("repro/cli.py", "repro/__main__.py",
-                                "repro/bench_engine.py")
-ENV_MODULES: Tuple[str, ...] = CLI_MODULES + ("repro/envvars.py",)
+# Modules allowed to touch the process environment: the command-line
+# surface plus the one sanctioned env-access module.
+ENV_MODULES: Tuple[str, ...] = ("repro/cli.py", "repro/__main__.py",
+                                "repro/envvars.py")
 
 
 class Rule:

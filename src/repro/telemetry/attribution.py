@@ -196,10 +196,9 @@ def attribute(tracer: Any, trace_ids: Optional[List[Any]] = None
               ) -> LatencyAttribution:
     """Build the attribution over ``trace_ids`` (default: every trace)."""
     attribution = LatencyAttribution()
-    if trace_ids is None:
-        trace_ids = tracer.trace_ids()
-    for trace_id in trace_ids:
-        attribution.add_trace(trace_id, trace_markers(tracer, trace_id))
+    markers = trace_markers(tracer)
+    for trace_id in markers if trace_ids is None else trace_ids:
+        attribution.add_trace(trace_id, markers.get(trace_id, []))
     return attribution
 
 

@@ -26,26 +26,31 @@ __all__ = ["StageBreakdown", "stage_breakdown", "trace_markers"]
 END_TO_END = "end_to_end"
 
 
-def trace_markers(tracer: Any, trace_id: Any) -> List[Tuple[int, str]]:
-    """The time-ordered ``(at_ns, label)`` markers of one trace.
+def trace_markers(tracer: Any) -> Dict[Any, List[Tuple[int, str]]]:
+    """Every trace's time-ordered ``(at_ns, label)`` markers, by trace id.
 
-    Ties on the clock are broken by recording order (events before the
-    spans recorded after them), which is deterministic.
+    One pass over the tracer's records groups them by trace; traces come
+    in first-seen order (``tracer.trace_ids()``).  Ties on the clock are
+    broken by recording order (events before the spans recorded after
+    them; each span takes two sequence numbers), which is deterministic.
     """
-    keyed: List[Tuple[int, int, str]] = []
+    keyed: Dict[Any, List[Tuple[int, int, str]]] = {}
     seq = 0
     for event in tracer.events:
-        if event.trace_id == trace_id:
-            keyed.append((event.at_ns, seq, event.name))
+        keyed.setdefault(event.trace_id, []).append(
+            (event.at_ns, seq, event.name))
         seq += 1
     for span in tracer.spans:
-        if span.trace_id == trace_id:
-            keyed.append((span.start_ns, seq, span.name))
-            if span.end_ns is not None:
-                keyed.append((span.end_ns, seq + 1, f"{span.name}_end"))
+        marks = keyed.setdefault(span.trace_id, [])
+        marks.append((span.start_ns, seq, span.name))
+        if span.end_ns is not None:
+            marks.append((span.end_ns, seq + 1, f"{span.name}_end"))
         seq += 2
-    keyed.sort(key=lambda m: (m[0], m[1]))
-    return [(at_ns, label) for at_ns, _seq, label in keyed]
+    grouped: Dict[Any, List[Tuple[int, str]]] = {}
+    for trace_id, marks in keyed.items():
+        marks.sort()  # (at_ns, seq): seq is unique, labels never compare
+        grouped[trace_id] = [(at_ns, label) for at_ns, _seq, label in marks]
+    return grouped
 
 
 def _stage_name(prev: str, nxt: str) -> str:
@@ -107,8 +112,7 @@ def stage_breakdown(tracer: Any, trace_ids: Optional[List[Any]] = None
                     ) -> StageBreakdown:
     """Build the breakdown over ``trace_ids`` (default: every trace)."""
     breakdown = StageBreakdown()
-    if trace_ids is None:
-        trace_ids = tracer.trace_ids()
-    for trace_id in trace_ids:
-        breakdown.add_trace(trace_markers(tracer, trace_id))
+    markers = trace_markers(tracer)
+    for trace_id in markers if trace_ids is None else trace_ids:
+        breakdown.add_trace(markers.get(trace_id, []))
     return breakdown

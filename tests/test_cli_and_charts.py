@@ -193,24 +193,14 @@ def test_cli_rejects_bad_jobs(capsys):
         main(["run", "tab3", "--jobs", "fast"])
 
 
-def test_cli_bench_writes_json(capsys, tmp_path):
-    out_path = tmp_path / "BENCH_sweep.json"
-    assert main(["bench", "tab2", "tab3", "--quick",
-                 "--out", str(out_path)]) == 0
-    payload = json.loads(out_path.read_text())
-    assert payload["benchmark"] == "sweep-executor"
-    names = [r["artifact"] for r in payload["results"]]
-    assert names == ["tab2", "tab3"]
-    for row in payload["results"]:
-        assert row["serial_s"] > 0
-        assert row["parallel_s"] > 0
-        assert row["warm_cache_s"] > 0
-
-
-def test_cli_bench_rejects_unknown_artifact(capsys, tmp_path):
-    assert main(["bench", "fig99",
-                 "--out", str(tmp_path / "b.json")]) == 2
-    assert "unknown artifact" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["bench"], ["verify", "--engine"]],
+                         ids=["bench", "verify-engine"])
+def test_cli_retired_bench_entry_points_are_usage_errors(argv, capsys):
+    """Benchmarking lives in bench/run.py; the CLI has no bench surface."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_trace(capsys):

@@ -153,9 +153,9 @@ def test_trace_markers_order_and_span_ends():
     tracer.end(span)
     _advance(env, 50)
     tracer.point("r", "guest_deliver")
-    assert trace_markers(tracer, "r") == [
+    assert trace_markers(tracer) == {"r": [
         (0, "guest_tx"), (100, "service"),
-        (350, "service_end"), (400, "guest_deliver")]
+        (350, "service_end"), (400, "guest_deliver")]}
 
 
 def test_stage_sums_equal_end_to_end_exactly():
@@ -179,9 +179,9 @@ def test_stage_breakdown_on_real_scenario_tiles_exactly():
         result = run_scenario("rr_vrio", seed=3)
     telemetry = session.for_testbed(result.testbed)
     tracer = telemetry.tracer
-    assert tracer.trace_ids()
-    for trace_id in tracer.trace_ids():
-        markers = trace_markers(tracer, trace_id)
+    grouped = trace_markers(tracer)
+    assert list(grouped) == tracer.trace_ids()
+    for markers in grouped.values():
         if len(markers) < 2:
             continue
         single = StageBreakdown()

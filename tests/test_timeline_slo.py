@@ -462,42 +462,3 @@ def test_verify_cli_observe_smoke(capsys):
     assert any(line.startswith("observe") and " ok" in line
                for line in out.splitlines())
 
-
-# -- bench rows --------------------------------------------------------------
-
-def test_timeline_storm_rate_and_payload_validation():
-    from repro import bench_engine
-
-    rate = bench_engine._storm_rate(2_000, 1_000, 8, timeline=True)
-    assert rate > 0
-    payload = {
-        "schema": bench_engine.SCHEMA,
-        "rows": [{
-            "name": "timeline_storm_b32", "mode": "timeline-storm",
-            "path": "observe", "lanes": 64, "events": 1000,
-            "background": 10, "batch": 32, "events_per_sec": 2.0,
-        }],
-        "artifacts": [{"scenario": "x", "path": "y", "wall_s": 1.0}],
-    }
-    problems = bench_engine.validate_payload(payload)
-    assert any("unbound_events_per_sec" in p for p in problems)
-    assert any("timeline_overhead" in p for p in problems)
-    row = payload["rows"][0]
-    row["unbound_events_per_sec"] = 4.0
-    row["timeline_overhead"] = 0.5
-    assert bench_engine.validate_payload(payload) == []
-
-
-def test_check_regression_gates_timeline_row():
-    from repro import bench_engine
-
-    def payload(rate):
-        return {"rows": [{
-            "name": "timeline_storm_b32", "mode": "timeline-storm",
-            "path": "observe", "lanes": 64, "events": 1000,
-            "background": 10, "batch": 32, "events_per_sec": rate,
-        }]}
-
-    assert bench_engine.check_regression(payload(95.0), payload(100.0)) == []
-    problems = bench_engine.check_regression(payload(80.0), payload(100.0))
-    assert problems and "timeline_storm_b32" in problems[0]
