@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Generator, Optional, Tuple
 
-from ..sim import Environment, Event, UtilizationTracker
+from ..sim import Environment, Event, Timeout, UtilizationTracker
 
 __all__ = ["Core", "CpuSocket"]
 
@@ -96,14 +96,16 @@ class Core:
         """Enqueue ``cycles`` of work; returns an event for its completion."""
         if cycles < 0:
             raise ValueError(f"negative cycle count: {cycles}")
-        done = self.env.event()
+        done = Event(self.env)
         item = (cycles, useful, tag, done)
         if high_priority:
             self._high.append(item)
         else:
             self._normal.append(item)
-        if self._idle_wakeup is not None and not self._idle_wakeup.triggered:
-            self._idle_wakeup.succeed()
+        wakeup = self._idle_wakeup
+        if wakeup is not None:
+            self._idle_wakeup = None
+            wakeup.succeed()
         return done
 
     def stall(self, duration_ns: int) -> Event:
@@ -131,7 +133,7 @@ class Core:
         on the policy — a polling sidecore's idle is indistinguishable
         from work to the power supply, an mwait'ed core naps cheaply.
         """
-        total_ns = self.env.now - 0
+        total_ns = self.env.now
         busy_ns = self.util.busy_ns
         useful_ns = self.util.useful_ns
         idle_ns = total_ns - busy_ns
@@ -148,31 +150,36 @@ class Core:
 
     def _serve(self) -> Generator[Event, Any, None]:
         env = self.env
+        high = self._high
+        normal = self._normal
+        util = self.util
+        ghz = self.ghz
+        cycles_by_tag = self.cycles_by_tag
         while True:
-            if not self._high and not self._normal:
+            if not high and not normal:
                 idle_start = env.now
-                self._idle_wakeup = env.event()
+                # execute() triggers and clears the wakeup.
+                self._idle_wakeup = Event(env)
                 yield self._idle_wakeup
-                self._idle_wakeup = None
                 if self.poll_mode:
                     # The spinning poll loop burned the whole idle span.
-                    self.util.account(env.now - idle_start, useful=False)
+                    util.account(env.now - idle_start, useful=False)
                 if self.poll_dispatch_ns:
                     # Poll-loop notice latency, or mwait wakeup latency.
-                    yield env.timeout(self.poll_dispatch_ns)
+                    yield Timeout(env, self.poll_dispatch_ns)
                     if self.poll_mode:
-                        self.util.account(self.poll_dispatch_ns,
-                                          useful=False)
-            queue = self._high if self._high else self._normal
-            cycles, useful, tag, done = queue.popleft()
+                        util.account(self.poll_dispatch_ns, useful=False)
+            cycles, useful, tag, done = (high or normal).popleft()
             self.busy = True
-            duration = self.ns_for(cycles)
+            # ns_for(cycles), inlined with the identical arithmetic.
+            duration = max(0, int(round(cycles / ghz)))
             if duration:
-                yield env.timeout(duration)
-            self.util.account(duration, useful=useful)
+                yield Timeout(env, duration)
+            util.account(duration, useful=useful)
             self.total_cycles += cycles
-            self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0) + cycles
-            self.busy = self.queue_length > 0
+            cycles_by_tag[tag] = cycles_by_tag.get(tag, 0) + cycles
+            # queue_length > 0, inlined.
+            self.busy = bool(high) or bool(normal)
             done.succeed()
 
 

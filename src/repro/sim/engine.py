@@ -50,7 +50,7 @@ import operator
 from collections import deque
 from heapq import heappop, heappush
 from typing import (Any, Callable, Deque, Generator, Iterable, List,
-                    Optional, Tuple, Union)
+                    NoReturn, Optional, Tuple, Union)
 
 __all__ = [
     "Environment",
@@ -237,13 +237,25 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self._ok = True
         self.delay = delay
-        env._schedule_timeout(self, delay)
+        if delay:
+            if delay.__class__ is not int:
+                delay = _integer_delay(delay)
+            seq = env._seq + 1
+            env._seq = seq
+            heappush(env._heap, (env._now + delay, seq, self))
+        else:
+            env._ready.append(self)
 
 
 class Process(Event):
-    """A running generator; also an event that triggers on completion."""
+    """A running generator; also an event that triggers on completion.
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    A wake — the event a process waits on being processed — resumes the
+    generator in the one call :meth:`_on_event`, bound once per process
+    as ``_wake`` so that registering and discarding it allocate nothing.
+    """
+
+    __slots__ = ("generator", "_waiting_on", "name", "_wake")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: str = "") -> None:
@@ -251,6 +263,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
+        self._wake = self._on_event
         # Kick off on the next scheduling step.
         env.call_soon(lambda: self._resume(None, None))
 
@@ -261,26 +274,51 @@ class Process(Event):
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
+        if self._state != _PENDING:
             return
         waiting = self._waiting_on
         if waiting is not None:
             # Detach from the event we were waiting on.
-            waiting._discard_callback(self._on_event)
+            waiting._discard_callback(self._wake)
             self._waiting_on = None
         self.env.call_soon(lambda: self._resume(None, Interrupt(cause)))
 
     # -- plumbing ----------------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome and wait on what
+        it yields next: the whole per-wake path, in one call."""
+        if self._state != _PENDING:
+            return
         self._waiting_on = None
-        if event.ok:
-            self._resume(event.value, None)
+        try:
+            if event._ok:
+                target = self.generator.send(event._value)
+            else:
+                target = self.generator.throw(event._value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        except Interrupt:
+            # An unhandled interrupt terminates the process quietly.
+            self.succeed(None)
+            return
+        if not isinstance(target, Event) or target.env is not self.env:
+            self._reject(target)
+        self._waiting_on = target
+        # add_callback, inlined for the common case: the inline slot is
+        # free and no overflow list would fire ahead of it, so firing
+        # order stays registration order.  A processed target still
+        # defers through add_callback.
+        if (target._cb0 is None and target._cbs is None
+                and target._state != _PROCESSED):
+            target._cb0 = self._wake
         else:
-            self._resume(None, event.value)
+            target.add_callback(self._wake)
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self.is_alive:
+        """Start the generator, or throw an interrupt into it."""
+        if self._state != _PENDING:
             return
         try:
             if exc is not None:
@@ -291,16 +329,18 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
             self.succeed(None)
             return
+        if not isinstance(target, Event) or target.env is not self.env:
+            self._reject(target)
+        self._waiting_on = target
+        target.add_callback(self._wake)
+
+    def _reject(self, target: Any) -> NoReturn:
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event")
-        if target.env is not self.env:
-            raise SimulationError("yielded event belongs to another Environment")
-        self._waiting_on = target
-        target.add_callback(self._on_event)
+        raise SimulationError("yielded event belongs to another Environment")
 
 
 class AllOf(Event):
@@ -433,16 +473,6 @@ class Environment:
                 pass
 
     # -- scheduling --------------------------------------------------------
-
-    def _schedule_timeout(self, event: Event, delay: int) -> None:
-        if delay:
-            if delay.__class__ is not int:
-                delay = _integer_delay(delay)
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(self._heap, (self._now + delay, seq, event))
-        else:
-            self._ready.append(event)
 
     def call_soon(self, fn: Callable[[], None], delay: int = 0) -> None:
         """Run ``fn()`` after ``delay`` ns (0 = this time step, FIFO)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Environment, Event, SimulationError
+from .engine import _PENDING, Environment, Event, SimulationError
 
 __all__ = ["Store", "Resource", "PriorityStore"]
 
@@ -80,7 +80,7 @@ class Store:
     def _wake_getter(self) -> None:
         while self._getters and self._items:
             getter = self._getters.popleft()
-            if getter.triggered:
+            if getter._state != _PENDING:
                 continue
             getter.succeed(self._items.popleft())
             self._admit_putter()
@@ -90,7 +90,7 @@ class Store:
             if self.capacity is not None and len(self._items) >= self.capacity:
                 return
             event, item = self._putters.popleft()
-            if event.triggered:
+            if event._state != _PENDING:
                 continue
             self._items.append(item)
             event.succeed()
@@ -118,24 +118,26 @@ class PriorityStore(Store):
     def get(self) -> Event:
         self._sort()
         event = super().get()
-        if event.triggered:
+        if event._state != _PENDING:
             event._value = event._value[0]
         else:
-            original = event
-
-            # Unwrap on delivery: intercept via callback ordering is fragile;
-            # instead wrap succeed by post-processing in _wake_getter.  We
-            # keep it simple: PriorityStore stores (item, seq) and getters
-            # receive (item, seq); unwrap here for the immediate path and in
-            # get_value for the deferred path.
-            def unwrap(ev: Event, _orig: Event = original) -> None:
-                ev._value = ev._value[0]
-
-            event.prepend_callback(unwrap)
+            # A deferred getter receives the stored (item, seq) pair;
+            # unwrap it before any waiter sees the value.
+            event.prepend_callback(_unwrap)
         return event
+
+    def try_get(self) -> tuple:
+        """Non-blocking get of the smallest item; returns ``(ok, item)``."""
+        self._sort()
+        ok, entry = super().try_get()
+        return (True, entry[0]) if ok else (False, None)
 
     def _sort(self) -> None:
         self._items = deque(sorted(self._items))
+
+
+def _unwrap(event: Event) -> None:
+    event._value = event._value[0]
 
 
 class Resource:
@@ -181,7 +183,7 @@ class Resource:
             raise SimulationError("release without matching request")
         while self._waiters:
             waiter = self._waiters.popleft()
-            if waiter.triggered:
+            if waiter._state != _PENDING:
                 continue
             waiter.succeed()
             return

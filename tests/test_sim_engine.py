@@ -210,6 +210,99 @@ def test_yield_non_event_raises():
         env.run()
 
 
+def test_yield_non_event_after_wake_raises():
+    env = Environment()
+
+    def bad(env):
+        yield env.timeout(1)
+        yield 42
+
+    env.process(bad(env), name="bad")
+    with pytest.raises(SimulationError,
+                       match="process 'bad' yielded 42, not an Event"):
+        env.run()
+    assert env.now == 1
+
+
+def test_yield_foreign_event_after_wake_raises():
+    env = Environment()
+    other = Environment()
+
+    def bad(env):
+        yield env.timeout(1)
+        yield other.event()
+
+    env.process(bad(env))
+    with pytest.raises(SimulationError,
+                       match="yielded event belongs to another Environment"):
+        env.run()
+    assert env.now == 1
+
+
+def test_interrupted_process_not_resumed_by_old_timeout():
+    env = Environment()
+    log = []
+    first = []
+
+    def sleeper(env):
+        try:
+            first.append(env.timeout(100))
+            yield first[0]
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        value = yield env.timeout(500, value="new")
+        log.append((value, env.now))
+
+    def killer(env, victim):
+        yield env.timeout(30)
+        victim.interrupt()
+
+    victim = env.process(sleeper(env))
+    env.process(killer(env, victim))
+    env.run(until=30)
+    assert first[0].callbacks == ()
+    env.run()
+    assert log == [("interrupted", 30), ("new", 530)]
+
+
+def test_yield_processed_event_resumes_on_next_step():
+    env = Environment()
+    gate = env.event()
+    gate.succeed("v")
+    env.step()
+    assert gate.processed
+    seen = []
+
+    def late(env):
+        value = yield gate
+        seen.append(value)
+
+    env.process(late(env))
+    env.step()  # the process starts and yields the processed gate
+    assert seen == []
+    env.step()  # its deferred wake
+    assert seen == ["v"]
+    assert env.now == 0
+
+
+def test_waiters_on_one_event_resume_in_registration_order():
+    env = Environment()
+    gate = env.event()
+    order = []
+
+    def waiter(env, tag):
+        value = yield gate
+        order.append((tag, value))
+
+    for tag in ("a", "b", "c"):
+        env.process(waiter(env, tag))
+    env.run()
+    assert order == []
+    gate.succeed(7)
+    env.run()
+    assert order == [("a", 7), ("b", 7), ("c", 7)]
+
+
 def test_all_of_collects_values_in_order():
     env = Environment()
 

@@ -133,6 +133,17 @@ def test_priority_store_orders_items():
     assert run(env, proc(env)) == [1, 2, 3]
 
 
+def test_priority_store_try_get_returns_smallest_unwrapped():
+    env = Environment()
+    store = PriorityStore(env)
+    for item in (5, 1, 3):
+        store.put(item)
+    assert store.try_get() == (True, 1)
+    assert store.try_get() == (True, 3)
+    assert store.try_get() == (True, 5)
+    assert store.try_get() == (False, None)
+
+
 def test_resource_serializes_users():
     env = Environment()
     core = Resource(env, capacity=1)
