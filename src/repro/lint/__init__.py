@@ -1,26 +1,28 @@
 """simlint: AST-based static analysis for simulator invariants.
 
-One pass per file, a registry of rules in five families:
+One walk per file and one registry of rules, in six families:
 
 * SIM1xx (:mod:`.determinism`) — bit-determinism: wall-clock reads,
   unthreaded RNG, identity ordering, unordered iteration into
   order-sensitive sinks, environment reads outside the CLI.
-* SIM2xx (:mod:`.ledger`) — cycle-ledger integrity: dead CostModel
-  fields, magic cycle literals charged to cores.
+* SIM2xx (:mod:`.ledger`) — cycle-ledger integrity: magic cycle
+  literals charged to cores.
 * SIM3xx (:mod:`.events`) — event-callback safety: mutable default
-  arguments, late-bound loop-variable capture.
+  arguments, late-bound loop-variable capture, scheduler-internals
+  pokes.
 * SIM4xx (:mod:`.telemetry`) — telemetry hygiene: malformed metric
   names, namespace collisions, spans opened but never closed.
+* SIM5xx (:mod:`.models`) — hand-written I/O-model name lists.
 * SIM6xx (:mod:`.project`) — whole-program rules over the module
   graph / symbol tables / call graph (``--project``): interprocedural
   RNG provenance, cycle-ledger flow, event-callback escape, telemetry
   hook reachability.
 
-Entry points: ``python -m repro lint`` and ``repro.lint.lint_tree``.
+An inline ``# simlint: disable=CODE`` is the one way to accept a
+finding.  Entry points: ``python -m repro lint`` and
+``repro.lint.lint_tree``.
 """
 
-from .baseline import (baseline_keys, default_baseline_path, load_baseline,
-                       save_baseline)
 from .cli import add_lint_arguments, changed_paths, lint_tree, run_lint
 from .findings import (Finding, expand_suppressions, is_suppressed,
                        parse_suppressions)
@@ -28,8 +30,7 @@ from .framework import (FileContext, LintResult, ProjectLinter, Rule,
                         default_lint_root, lint_paths, lint_sources,
                         register_rule, registered_rules)
 from .project import (ProjectAnalysis, ProjectRule, build_project,
-                      build_project_from_sources, register_project_rule,
-                      registered_project_rules, run_project_rules)
+                      build_project_from_sources, run_project_rules)
 from .report import render_json, render_rule_list, render_text
 
 __all__ = [
@@ -41,27 +42,21 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "add_lint_arguments",
-    "baseline_keys",
     "build_project",
     "build_project_from_sources",
     "changed_paths",
-    "default_baseline_path",
     "default_lint_root",
     "expand_suppressions",
     "is_suppressed",
     "lint_paths",
     "lint_sources",
     "lint_tree",
-    "load_baseline",
     "parse_suppressions",
-    "register_project_rule",
     "register_rule",
-    "registered_project_rules",
     "registered_rules",
     "render_json",
     "render_rule_list",
     "render_text",
     "run_lint",
     "run_project_rules",
-    "save_baseline",
 ]

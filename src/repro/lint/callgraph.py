@@ -1,4 +1,4 @@
-"""Module graph and conservative call graph over module summaries.
+"""Symbol index and conservative call graph over module summaries.
 
 Keys
 ----
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .symbols import CallFact, ClassSummary, FunctionSummary, ModuleSummary
+from .symbols import ClassSummary, FunctionSummary, ModuleSummary
 
 __all__ = ["ProjectIndex", "CallGraph", "build_index", "build_callgraph"]
 
@@ -38,9 +38,6 @@ class ProjectIndex:
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     methods_by_name: Dict[str, List[str]] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
-
-    def module_of(self, fnkey: str) -> str:
-        return fnkey.split("::", 1)[0]
 
 
 def build_index(summaries: Dict[str, ModuleSummary]) -> ProjectIndex:
@@ -218,14 +215,3 @@ def build_callgraph(index: ProjectIndex) -> CallGraph:
                     edges.add(target)
     return graph
 
-
-def module_edges(index: ProjectIndex) -> Dict[str, Set[str]]:
-    """The import-resolution module graph (dotted name → dotted names)."""
-    out: Dict[str, Set[str]] = {}
-    for summary in index.summaries.values():
-        deps = out.setdefault(summary.module, set())
-        for target in summary.imports.values():
-            split = _split_symbol(index, target)
-            if split is not None:
-                deps.add(index.summaries[split[0]].module)
-    return out

@@ -8,13 +8,13 @@ Modes
 * ``repro lint``              — per-file rules (SIM1xx–SIM5xx).
 * ``repro lint --project``    — per-file rules plus the whole-program
   SIM6xx family (module graph → call graph → dataflow), with the
-  incremental summary cache (``--no-cache`` to disable) and optional
-  ``--jobs N`` parallel parsing.
+  incremental summary cache (``--no-cache`` to disable).
 * ``repro lint --changed``    — per-file rules over only the files that
   differ from ``git merge-base HEAD main`` (the pre-commit loop);
-  falls back to the full tree outside a git checkout.  Tree-scoped
-  rules (``Rule.tree_scoped``, e.g. SIM201) are skipped on the subset
-  since their verdicts need the whole tree; ``--only`` re-enables them.
+  falls back to the full tree outside a git checkout.
+
+A finding is accepted in one way only: an inline
+``# simlint: disable=CODE`` on its statement.
 
 Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
 """
@@ -26,8 +26,8 @@ import subprocess
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import default_baseline_path, load_baseline, save_baseline
-from .framework import LintResult, default_lint_root, lint_paths
+from .framework import (LintResult, default_lint_root, lint_paths,
+                        select_rules)
 from .report import render_json, render_rule_list, render_text
 
 __all__ = ["add_lint_arguments", "run_lint", "lint_tree", "changed_paths"]
@@ -39,14 +39,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: the whole repro package)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the machine-readable JSON report")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file of accepted findings "
-                             "(default: LINT_BASELINE.json at the repo root)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                             "and exit 0")
     parser.add_argument("--only", action="append", default=None,
                         metavar="CODE",
                         help="run only these rule codes (repeatable)")
@@ -55,9 +47,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--project", action="store_true",
                         help="also run the whole-program SIM6xx rules "
                              "(module graph, call graph, dataflow)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parse files in N parallel workers "
-                             "(project analysis; default 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the incremental summary cache")
     parser.add_argument("--changed", action="store_true",
@@ -119,7 +108,6 @@ def _merge_results(per_file: LintResult, project: LintResult) -> LintResult:
     return LintResult(
         findings=sorted(per_file.findings + project.findings),
         suppressed=per_file.suppressed + project.suppressed,
-        baselined=per_file.baselined + project.baselined,
         files_checked=max(per_file.files_checked, project.files_checked),
         parse_errors=sorted(set(per_file.parse_errors)
                             | set(project.parse_errors)))
@@ -127,85 +115,44 @@ def _merge_results(per_file: LintResult, project: LintResult) -> LintResult:
 
 def lint_tree(paths: Optional[List[Path]] = None,
               only: Optional[List[str]] = None,
-              baseline_path: Optional[Path] = None,
-              use_baseline: bool = True,
               project: bool = False,
-              jobs: int = 1,
               use_cache: bool = True,
-              cache_dir: Optional[Path] = None,
-              skip_tree_scoped: bool = False) -> LintResult:
-    """Lint the tree the way the CLI does; importable for tests/verify."""
-    from .project import (build_project, registered_project_rules,
-                          run_project_rules)
+              cache_dir: Optional[Path] = None) -> LintResult:
+    """Lint the tree the way the CLI does; importable for tests/verify.
 
-    baseline = None
-    if use_baseline:
-        baseline = load_baseline(baseline_path or default_baseline_path())
-    project_codes = set(registered_project_rules())
-    only_file: Optional[List[str]] = None
-    only_project: Optional[List[str]] = None
+    With ``only``, the project pass runs exactly when a SIM6xx code is
+    asked for.
+    """
+    from .project import ProjectRule, build_project, run_project_rules
+
     if only is not None:
-        only_file = [c for c in only if c not in project_codes]
-        only_project = [c for c in only if c in project_codes]
-        # Asking for a SIM6xx code implies the project analysis.
-        project = project or bool(only_project)
-    empty = LintResult(findings=[], suppressed=0, baselined=0,
-                       files_checked=0, parse_errors=[])
-    run_per_file = only_file is None or bool(only_file)
-    per_file = lint_paths(paths=paths or None, only=only_file,
-                          baseline=baseline,
-                          skip_tree_scoped=skip_tree_scoped) \
-        if run_per_file else empty
+        project = bool(select_rules(only, ProjectRule))
+    per_file = lint_paths(paths=paths or None, only=only)
     if not project:
         return per_file
-    run_project = only_project is None or bool(only_project)
-    if not run_project:
-        return per_file
-    analysis = build_project(jobs=jobs, use_cache=use_cache,
-                             cache_dir=cache_dir)
-    project_result = run_project_rules(analysis, only=only_project,
-                                       baseline=baseline)
-    return _merge_results(per_file, project_result)
+    analysis = build_project(use_cache=use_cache, cache_dir=cache_dir)
+    return _merge_results(per_file, run_project_rules(analysis, only=only))
 
 
 def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_rule_list())
         return 0
-    baseline_path = args.baseline or default_baseline_path()
     paths: Optional[List[Path]] = list(args.paths) or None
-    # Tree-scoped rules (SIM201) see declarations in one file and uses in
-    # the others; over a --changed subset their verdicts would be false
-    # positives, so the subset restriction also disables them.
-    skip_tree_scoped = False
-    if getattr(args, "changed", False) and not args.paths:
+    if args.changed and not args.paths:
         changed = changed_paths()
         if changed is not None:
             if not changed and not args.project:
                 print("lint: no files changed vs merge-base; nothing to do")
                 return 0
             paths = changed
-            skip_tree_scoped = True
     try:
-        result = lint_tree(paths=paths,
-                           only=args.only,
-                           baseline_path=baseline_path,
-                           use_baseline=not args.no_baseline,
-                           project=getattr(args, "project", False),
-                           jobs=max(1, getattr(args, "jobs", 1)),
-                           use_cache=not getattr(args, "no_cache", False),
-                           skip_tree_scoped=skip_tree_scoped)
+        result = lint_tree(paths=paths, only=args.only,
+                           project=args.project,
+                           use_cache=not args.no_cache)
     except KeyError as exc:
         print(f"lint: {exc.args[0]}")
         return 2
-    except ValueError as exc:
-        print(f"lint: {exc}")
-        return 2
-    if args.update_baseline:
-        save_baseline(baseline_path, result.all_findings())
-        print(f"lint: wrote {len(result.all_findings())} finding(s) "
-              f"to {baseline_path}")
-        return 0
     root = str(default_lint_root())
     if args.as_json:
         print(render_json(result, root=root))

@@ -21,9 +21,9 @@ ugly:
 from __future__ import annotations
 
 import ast
-from typing import List, Set, Union
+from typing import Iterable, Iterator, List, Set, Tuple, Union
 
-from .framework import FileContext, Rule, parent_of, register_rule
+from .framework import FileContext, Rule, register_rule
 
 __all__ = []
 
@@ -103,9 +103,21 @@ def _loop_target_names(target: ast.AST) -> Set[str]:
     return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
 
 
-def _immediately_called(fn: ast.AST) -> bool:
-    parent = parent_of(fn)
-    return isinstance(parent, ast.Call) and parent.func is fn
+def _deferred(roots: Iterable[ast.AST],
+              kinds: Tuple[type, ...]) -> Iterator[ast.AST]:
+    """Nodes of ``kinds`` under ``roots`` that are not called in place.
+
+    ``(lambda: vm)()`` runs immediately, so it cannot see a later
+    iteration.  A walk reaches every Call before its ``func``, so the
+    callees run in place are known by the time their node comes up.
+    """
+    called: Set[int] = set()
+    for root in roots:
+        for sub in ast.walk(root):
+            if isinstance(sub, ast.Call):
+                called.add(id(sub.func))
+            elif isinstance(sub, kinds) and id(sub) not in called:
+                yield sub
 
 
 @register_rule
@@ -121,21 +133,16 @@ class LateBoundLoopCaptureRule(Rule):
         targets = _loop_target_names(node.target)
         if not targets:
             return
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if not isinstance(sub, (ast.Lambda, ast.FunctionDef,
-                                        ast.AsyncFunctionDef)):
-                    continue
-                if _immediately_called(sub):
-                    continue
-                captured = sorted(_free_loads(sub) & targets)
-                if captured:
-                    label = getattr(sub, "name", "<lambda>")
-                    self.report(ctx, sub,
-                                f"{label!r} captures loop variable(s) "
-                                f"{', '.join(captured)} late-bound; bind "
-                                f"them as default arguments "
-                                f"({captured[0]}={captured[0]})")
+        for sub in _deferred(node.body, (ast.Lambda, ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+            captured = sorted(_free_loads(sub) & targets)
+            if captured:
+                label = getattr(sub, "name", "<lambda>")
+                self.report(ctx, sub,
+                            f"{label!r} captures loop variable(s) "
+                            f"{', '.join(captured)} late-bound; bind "
+                            f"them as default arguments "
+                            f"({captured[0]}={captured[0]})")
 
     def visit_ListComp(self, node: ast.ListComp, ctx: FileContext) -> None:
         self._comp(node, ctx)
@@ -147,14 +154,13 @@ class LateBoundLoopCaptureRule(Rule):
         targets: Set[str] = set()
         for gen in node.generators:
             targets |= _loop_target_names(gen.target)
-        for sub in ast.walk(node.elt):
-            if isinstance(sub, ast.Lambda) and not _immediately_called(sub):
-                captured = sorted(_free_loads(sub) & targets)
-                if captured:
-                    self.report(ctx, sub,
-                                f"comprehension builds lambdas capturing "
-                                f"{', '.join(captured)} late-bound; bind "
-                                f"them as default arguments")
+        for sub in _deferred([node.elt], (ast.Lambda,)):
+            captured = sorted(_free_loads(sub) & targets)
+            if captured:
+                self.report(ctx, sub,
+                            f"comprehension builds lambdas capturing "
+                            f"{', '.join(captured)} late-bound; bind "
+                            f"them as default arguments")
 
 
 # Scheduler internals owned by repro/sim: the timer heap, the FIFO

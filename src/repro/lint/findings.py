@@ -1,10 +1,11 @@
 """Finding and suppression primitives for simlint.
 
 A :class:`Finding` pins one rule violation to a file and line.  Findings
-are plain data: hashable, sortable, and round-trippable through JSON, so
-the baseline file and the ``--json`` reporter share one representation.
+are plain data: hashable, sortable, and round-trippable through the
+``--json`` report.
 
-Inline suppressions use the conventional comment form::
+Inline suppressions, the one way to accept a finding, use the
+conventional comment form::
 
     frobnicate(time.time())  # simlint: disable=SIM101
     # simlint: disable=SIM104,SIM302   (several codes)

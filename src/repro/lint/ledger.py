@@ -2,79 +2,24 @@
 
 The paper's evaluation *is* event and cycle accounting (Table 3 counts
 exits/interrupts per request; Figure 10 divides per-tag cycles by packet
-counts).  The ledger stays trustworthy only while (a) every CostModel
-field actually feeds the simulation and (b) every cycle charged to a core
-traces back to a calibrated CostModel constant rather than a stray
-literal.
+counts).  The ledger stays trustworthy only while every cycle charged to
+a core traces back to a calibrated CostModel constant rather than a stray
+literal:
 
-* SIM201 — dead CostModel field: declared in the dataclass but never read
-  anywhere in the tree (a silent calibration knob is a lie in the docs).
 * SIM202 — magic charge: a numeric literal passed straight to
   ``Core.execute()``/``Core.stall()`` bypasses the calibrated catalog.
+
+That every CostModel field feeds a charge at all is a whole-program
+question; SIM602 (:mod:`.project`) answers it over the call graph.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Set, Tuple
 
 from .framework import FileContext, Rule, register_rule
 
 __all__ = []
-
-
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else \
-            getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
-
-
-@register_rule
-class DeadCostFieldRule(Rule):
-    code = "SIM201"
-    name = "dead-cost-field"
-    rationale = ("Every CostModel field is a calibration input; a field "
-                 "nothing reads silently drifts from the code it claims to "
-                 "describe and bloats the sweep-cache fingerprint.")
-    tree_scoped = True  # fields declared in costs.py, read anywhere
-
-    def __init__(self) -> None:
-        super().__init__()
-        # field name -> (path, line, col) of its declaration
-        self._fields: Dict[str, Tuple[str, int, int]] = {}
-        self._uses: Set[str] = set()
-
-    def visit_ClassDef(self, node: ast.ClassDef, ctx: FileContext) -> None:
-        if node.name != "CostModel" or not _is_dataclass_decorated(node):
-            return
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and \
-                    isinstance(stmt.target, ast.Name):
-                self._fields[stmt.target.id] = (
-                    ctx.path, stmt.lineno, stmt.col_offset)
-
-    def visit_Attribute(self, node: ast.Attribute, ctx: FileContext) -> None:
-        self._uses.add(node.attr)
-
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        # copy(field=...) / dict(field=...) overrides count as uses.
-        for keyword in node.keywords:
-            if keyword.arg:
-                self._uses.add(keyword.arg)
-
-    def finalize(self) -> None:
-        for name in sorted(self._fields):
-            if name not in self._uses:
-                path, line, col = self._fields[name]
-                self.report_at(path, line, col,
-                               f"CostModel field {name!r} is never read by "
-                               f"any hw/iomodels consumer; wire it into a "
-                               f"charge path or delete it")
-
 
 _CHARGE_METHODS = {"execute", "stall"}
 

@@ -2,9 +2,11 @@
 
 This is the ``repro lint --project`` layer.  It extracts one pickleable
 :class:`~repro.lint.symbols.ModuleSummary` per file (with an incremental
-content-addressed cache and optional ``--jobs`` parallel parsing), builds
-the :class:`~repro.lint.callgraph.CallGraph`, and runs the SIM6xx
-interprocedural rule family that per-file rules cannot express.
+content-addressed cache), builds the
+:class:`~repro.lint.callgraph.CallGraph`, and runs the SIM6xx
+interprocedural rule family that per-file rules cannot express.  The
+SIM6xx rules live in the one rule registry
+(:func:`~repro.lint.framework.register_rule`) next to the per-file ones.
 
 Caching
 -------
@@ -19,23 +21,22 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ..envvars import cache_dir_override, pythonpath_for_spawn
+from ..envvars import cache_dir_override
 from .callgraph import (CallGraph, ProjectIndex, build_callgraph,
-                        build_index, module_edges, resolve_callee)
+                        build_index, resolve_callee)
 from .dataflow import run_taint_analysis
-from .findings import Finding, is_suppressed
-from .framework import LintResult, default_lint_root, iter_python_files
+from .findings import Finding
+from .framework import (LintResult, default_lint_root, fold_findings,
+                        iter_python_files, register_rule, select_rules)
 from .symbols import SYMBOLS_VERSION, ModuleSummary, extract_module
 
 __all__ = [
     "ProjectAnalysis",
     "ProjectRule",
-    "register_project_rule",
-    "registered_project_rules",
     "build_project",
     "build_project_from_sources",
     "run_project_rules",
@@ -62,9 +63,6 @@ class ProjectAnalysis:
     @property
     def summaries(self) -> Dict[str, ModuleSummary]:
         return self.index.summaries
-
-    def module_graph(self) -> Dict[str, Set[str]]:
-        return module_edges(self.index)
 
 
 # ---------------------------------------------------------------------------
@@ -106,28 +104,10 @@ def _cache_store(cache_dir: Path, digest: str,
         pass  # caching is best-effort; analysis correctness never depends on it
 
 
-def _extract_worker(item: Tuple[str, str]) -> Tuple[str, ModuleSummary]:
-    """Module-level so it pickles under the spawn start method."""
-    rel_path, source = item
-    return rel_path, extract_module(rel_path, source)
-
-
-def _extract_parallel(items: List[Tuple[str, str]], jobs: int
-                      ) -> List[Tuple[str, ModuleSummary]]:
-    import multiprocessing
-
-    src_root = str(default_lint_root())
-    ctx = multiprocessing.get_context("spawn")
-    with pythonpath_for_spawn(src_root):
-        with ctx.Pool(processes=min(jobs, len(items))) as pool:
-            return pool.map(_extract_worker, items)
-
-
 def build_project(root: Optional[Path] = None,
-                  jobs: int = 1,
                   use_cache: bool = True,
                   cache_dir: Optional[Path] = None) -> ProjectAnalysis:
-    """Summarize the whole tree (cached, optionally parallel) and index it."""
+    """Summarize the whole tree (through the cache) and index it."""
     root = root or default_lint_root()
     cache_dir = cache_dir or default_symbol_cache_dir()
     files = iter_python_files([root / "repro"])
@@ -153,17 +133,11 @@ def build_project(root: Optional[Path] = None,
                 summaries[rel] = cached
                 hits += 1
 
-    missing = [(rel, sources[rel]) for rel in sorted(sources)
-               if rel not in summaries]
-    if missing:
-        if jobs > 1 and len(missing) > 1:
-            extracted = _extract_parallel(missing, jobs)
-        else:
-            extracted = [_extract_worker(item) for item in missing]
-        for rel, summary in extracted:
-            summaries[rel] = summary
-            if use_cache:
-                _cache_store(cache_dir, digests[rel], summary)
+    missing = [rel for rel in sorted(sources) if rel not in summaries]
+    for rel in missing:
+        summaries[rel] = extract_module(rel, sources[rel])
+        if use_cache:
+            _cache_store(cache_dir, digests[rel], summaries[rel])
 
     index = build_index(summaries)
     graph = build_callgraph(index)
@@ -181,8 +155,8 @@ def build_project_from_sources(files: Mapping[str, str]) -> ProjectAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Project rule registry (separate from the per-file registry: these rules
-# consume a ProjectAnalysis, not an AST walk)
+# Project rules: registered in the one registry, but they consume a
+# ProjectAnalysis rather than an AST walk
 
 
 class ProjectRule:
@@ -196,63 +170,28 @@ class ProjectRule:
         raise NotImplementedError
 
 
-_PROJECT_RULES: Dict[str, Type[ProjectRule]] = {}
-
-
-def register_project_rule(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    if not cls.code or not cls.name:
-        raise ValueError(f"rule {cls.__name__} needs code and name")
-    if cls.code in _PROJECT_RULES:
-        raise ValueError(f"duplicate rule code {cls.code}")
-    _PROJECT_RULES[cls.code] = cls
-    return cls
-
-
-def registered_project_rules() -> Dict[str, Type[ProjectRule]]:
-    return dict(_PROJECT_RULES)
-
-
 def run_project_rules(project: ProjectAnalysis,
-                      only: Optional[Iterable[str]] = None,
-                      baseline: Optional[Set[Tuple[str, str, str]]] = None
-                      ) -> LintResult:
-    """Run the SIM6xx family and fold in suppressions + baseline."""
-    registry = registered_project_rules()
-    codes = sorted(registry) if only is None else sorted(only)
-    unknown = [c for c in codes if c not in registry]
-    if unknown:
-        raise KeyError(f"unknown project rule code(s): {', '.join(unknown)}; "
-                       f"known: {', '.join(sorted(registry))}")
+                      only: Optional[Iterable[str]] = None) -> LintResult:
+    """Run the SIM6xx rules among ``only`` and fold in suppressions."""
+    rules = select_rules(only, ProjectRule)
+    summaries = project.summaries
     parse_errors = [
         Finding(path=s.path, line=s.parse_error[0], col=s.parse_error[1],
                 code="SIM000",
                 message=f"file does not parse: {s.parse_error[2]}")
-        for s in (project.summaries[p] for p in sorted(project.summaries))
+        for s in (summaries[path] for path in sorted(summaries))
         if s.parse_error is not None]
-    active: List[Finding] = []
-    suppressed = baselined = 0
-    for code in codes:
-        for finding in registry[code]().run(project):
-            summary = project.summaries.get(finding.path)
-            suppressions = summary.suppressions if summary else {}
-            if is_suppressed(finding, suppressions):
-                suppressed += 1
-            elif baseline and (finding.path, finding.code,
-                               finding.message) in baseline:
-                baselined += 1
-            else:
-                active.append(finding)
-    return LintResult(findings=sorted(active), suppressed=suppressed,
-                      baselined=baselined,
-                      files_checked=len(project.summaries),
-                      parse_errors=sorted(parse_errors))
+    return fold_findings(
+        (finding for cls in rules for finding in cls().run(project)),
+        {path: s.suppressions for path, s in summaries.items()},
+        len(summaries), parse_errors)
 
 
 # ---------------------------------------------------------------------------
 # SIM601 — RNG provenance
 
 
-@register_project_rule
+@register_rule
 class RngProvenanceRule(ProjectRule):
     code = "SIM601"
     name = "rng-provenance"
@@ -300,7 +239,7 @@ def _datapath_roots(project: ProjectAnalysis) -> List[str]:
     return roots
 
 
-@register_project_rule
+@register_rule
 class LedgerFlowRule(ProjectRule):
     code = "SIM602"
     name = "ledger-flow"
@@ -399,7 +338,7 @@ class LedgerFlowRule(ProjectRule):
 # SIM603 — event-callback escape
 
 
-@register_project_rule
+@register_rule
 class CallbackEscapeRule(ProjectRule):
     code = "SIM603"
     name = "callback-escape"
@@ -429,7 +368,7 @@ class CallbackEscapeRule(ProjectRule):
 # SIM604 — telemetry reachability
 
 
-@register_project_rule
+@register_rule
 class TelemetryReachabilityRule(ProjectRule):
     code = "SIM604"
     name = "telemetry-reachability"

@@ -16,7 +16,7 @@ from .framework import LintResult, registered_rules
 __all__ = ["render_text", "render_json", "render_rule_list",
            "JSON_SCHEMA_VERSION"]
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def render_text(result: LintResult, root: str = "") -> str:
@@ -33,8 +33,6 @@ def render_text(result: LintResult, root: str = "") -> str:
                      f"0 findings")
     if result.suppressed:
         lines.append(f"{result.suppressed} suppressed by inline comments")
-    if result.baselined:
-        lines.append(f"{result.baselined} silenced by baseline")
     return "\n".join(lines)
 
 
@@ -49,21 +47,14 @@ def render_json(result: LintResult, root: str = "") -> str:
         "findings": [f.to_dict() for f in result.all_findings()],
         "counts": counts,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_rule_list() -> str:
-    """One line per registered rule: code, slug, rationale.
-
-    Covers both registries: the per-file rules and the whole-program
-    (``--project``) SIM6xx family.
-    """
-    from .project import registered_project_rules
-
-    registry: Dict[str, type] = dict(registered_rules())
-    registry.update(registered_project_rules())
+    """One line per registered rule (per-file and SIM6xx): code, slug,
+    rationale."""
+    registry = registered_rules()
     lines = []
     for code in sorted(registry):
         cls = registry[code]

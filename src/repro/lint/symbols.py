@@ -7,7 +7,7 @@ fields), and one :class:`FunctionSummary` per function/method plus a
 everything the project passes (:mod:`repro.lint.callgraph`,
 :mod:`repro.lint.dataflow`, the SIM6xx rules) need — the AST itself is
 never kept, which is what makes the incremental cache (pickle per file,
-keyed by source digest) and ``--jobs`` parallel parsing possible.
+keyed by source digest) possible.
 
 Origin tokens
 -------------

@@ -89,18 +89,33 @@ class MetricNameRule(Rule):
                         f"([a-z0-9_]+(.[a-z0-9_]+)*)")
 
 
+class _FunctionScopeRule(Rule):
+    """A rule judged once per plain ``def``, over its own-scope nodes
+    (BFS order, nested defs as single nodes) as the framework's walk
+    filed them in ``ctx.scopes``."""
+
+    def end_file(self, ctx: FileContext) -> None:
+        for node, own in ctx.scopes.items():
+            if isinstance(node, ast.FunctionDef):
+                self.check(node, own, ctx)
+
+    def check(self, node: ast.FunctionDef, own: List[ast.AST],
+              ctx: FileContext) -> None:
+        raise NotImplementedError
+
+
 @register_rule
-class NamespaceCollisionRule(Rule):
+class NamespaceCollisionRule(_FunctionScopeRule):
     code = "SIM402"
     name = "metric-name-collision"
     rationale = ("Registering a name twice raises ValueError mid-run; "
                  "duplicates visible in one function body are caught at "
                  "lint time instead.")
 
-    def visit_FunctionDef(self, node: ast.FunctionDef,
-                          ctx: FileContext) -> None:
+    def check(self, node: ast.FunctionDef, own: List[ast.AST],
+              ctx: FileContext) -> None:
         seen: Dict[Tuple[str, str], ast.AST] = {}
-        for sub in ast.walk(node):
+        for sub in own:
             if not isinstance(sub, ast.Call) \
                     or not isinstance(sub.func, ast.Attribute) \
                     or sub.func.attr not in _REGISTER_METHODS \
@@ -122,27 +137,18 @@ class NamespaceCollisionRule(Rule):
 
 
 @register_rule
-class OpenSpanRule(Rule):
+class OpenSpanRule(_FunctionScopeRule):
     code = "SIM403"
     name = "span-never-closed"
     rationale = ("An un-ended span exports as a dangling begin event and "
                  "is invisible to span_durations(); every begin needs an "
                  "end on every path through the function.")
 
-    def visit_FunctionDef(self, node: ast.FunctionDef,
-                          ctx: FileContext) -> None:
-        # Nodes under nested defs are visited when that def is; exclude
-        # them so a span opened there is not attributed to this scope too.
-        nested = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and sub is not node:
-                nested.update(id(n) for n in ast.walk(sub) if n is not sub)
+    def check(self, node: ast.FunctionDef, own: List[ast.AST],
+              ctx: FileContext) -> None:
         begins: List[Tuple[ast.Call, str]] = []
         enders = set()
-        for sub in ast.walk(node):
-            if id(sub) in nested:
-                continue
+        for sub in own:
             if not isinstance(sub, ast.Call) \
                     or not isinstance(sub.func, ast.Attribute):
                 continue
@@ -169,18 +175,8 @@ def _callee_name(node: ast.Call) -> str:
     return ""
 
 
-def _own_nodes(node: ast.FunctionDef) -> List[ast.AST]:
-    """Nodes of ``node``'s body excluding those under nested defs."""
-    nested = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and sub is not node:
-            nested.update(id(n) for n in ast.walk(sub) if n is not sub)
-    return [sub for sub in ast.walk(node) if id(sub) not in nested]
-
-
 @register_rule
-class UnflushedTimelineRule(Rule):
+class UnflushedTimelineRule(_FunctionScopeRule):
     code = "SIM404"
     name = "telemetry-never-consumed"
     rationale = ("A timeline that is never flushed silently drops its "
@@ -188,9 +184,8 @@ class UnflushedTimelineRule(Rule):
                  "attached evaluates nothing; both read as coverage that "
                  "does not exist.")
 
-    def visit_FunctionDef(self, node: ast.FunctionDef,
-                          ctx: FileContext) -> None:
-        own = _own_nodes(node)
+    def check(self, node: ast.FunctionDef, own: List[ast.AST],
+              ctx: FileContext) -> None:
         # Names a timeline/probe creation is assigned to, keyed by kind.
         timelines: Dict[str, ast.Call] = {}
         probes: Dict[str, ast.Call] = {}

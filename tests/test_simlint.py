@@ -1,9 +1,9 @@
-"""simlint: rule fixtures, suppressions, baseline, reporters, tree check.
+"""simlint: rule fixtures, suppressions, reporters, tree check.
 
-Every rule code gets a minimal snippet that fires it and the same snippet
-with an inline ``# simlint: disable=<code>`` that silences it.  The
-tree-wide test is the real gate: the shipped source must lint clean with
-an *empty* baseline.
+Every per-file rule code gets a minimal snippet that fires it and the
+same snippet with an inline ``# simlint: disable=<code>`` that silences
+it.  The tree-wide test is the real gate: the shipped source must lint
+clean, and an inline suppression is the only way to accept a finding.
 """
 
 import json
@@ -16,17 +16,19 @@ import pytest
 
 from repro.lint import (
     Finding,
-    baseline_keys,
+    ProjectRule,
+    build_project_from_sources,
+    lint_paths,
     lint_sources,
     lint_tree,
-    load_baseline,
     registered_rules,
     render_json,
     render_text,
-    save_baseline,
+    run_project_rules,
 )
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +65,6 @@ CASES = {
                   "import os\n"
                   "DEBUG = os.environ.get('REPRO_DEBUG')\n"},
         "at": ("repro/sim/knobs.py", 2),
-    },
-    "SIM201": {
-        "files": {
-            "repro/iomodels/costs.py":
-                "from dataclasses import dataclass\n"
-                "@dataclass\n"
-                "class CostModel:\n"
-                "    used_cycles: int = 1\n"
-                "    dead_cycles: int = 2\n",
-            "repro/hw/consumer.py":
-                "def charge(core, costs):\n"
-                "    core.execute(costs.used_cycles)\n",
-        },
-        "at": ("repro/iomodels/costs.py", 5),
     },
     "SIM202": {
         "files": {"repro/iomodels/charge.py":
@@ -174,7 +162,20 @@ def test_rule_suppressed_inline(code):
 
 
 def test_every_registered_rule_has_a_fixture():
-    assert sorted(registered_rules()) == sorted(CASES)
+    # Per-file rules fire on their CASES snippet; SIM6xx rules on their
+    # seeded-bug corpus under tests/lint_fixtures/<code>/.
+    registry = registered_rules()
+    project_codes = sorted(code for code, cls in registry.items()
+                           if issubclass(cls, ProjectRule))
+    assert sorted(registry) == sorted(list(CASES) + project_codes)
+    for code in project_codes:
+        root = FIXTURES / code.lower()
+        assert root.is_dir(), f"missing fixture corpus for {code}"
+        files = {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8")
+                 for p in sorted(root.rglob("*.py"))}
+        result = run_project_rules(build_project_from_sources(files),
+                                   only=[code])
+        assert result.findings, f"{code} does not fire on its corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,30 @@ def test_default_bound_lambda_passes_sim302():
               "        env.call_soon(lambda vm=vm: vm.kick())\n")
     assert lint_sources({"repro/x.py": source},
                         only=["SIM302"]).findings == []
+
+
+def test_immediately_called_lambda_passes_sim302():
+    source = ("def arm(env, vms):\n"
+              "    for vm in vms:\n"
+              "        env.call_soon((lambda: vm.kick())())\n"
+              "    return [(lambda: v)() for v in vms]\n")
+    assert lint_sources({"repro/x.py": source},
+                        only=["SIM302"]).findings == []
+
+
+def test_nested_def_duplicate_reported_once_sim402():
+    # The inner def's registrations belong to the inner scope only; the
+    # enclosing def must not report them a second time.
+    source = ("def outer(reg):\n"
+              "    def inner():\n"
+              "        reg.register_counter('a.b')\n"
+              "        reg.register_counter('a.b')\n"
+              "    return inner\n")
+    result = lint_sources({"repro/telemetry/nested.py": source},
+                          only=["SIM402"])
+    assert len(result.findings) == 1, result.findings
+    assert result.findings[0].line == 4
+    assert "'inner'" in result.findings[0].message
 
 
 def test_closed_span_passes_sim403():
@@ -314,47 +339,6 @@ def test_parse_error_reported_as_sim000():
 
 
 # ---------------------------------------------------------------------------
-# Baseline round-trip.
-# ---------------------------------------------------------------------------
-
-def test_baseline_round_trip(tmp_path):
-    findings = [
-        Finding(path="repro/a.py", line=3, col=0, code="SIM104",
-                message="sum() over .values()"),
-        Finding(path="repro/b.py", line=9, col=4, code="SIM101",
-                message="wall-clock read"),
-    ]
-    path = tmp_path / "baseline.json"
-    save_baseline(path, findings)
-    assert load_baseline(path) == baseline_keys(findings)
-    # Byte-stable: saving the same findings twice writes identical bytes.
-    first = path.read_bytes()
-    save_baseline(path, list(reversed(findings)))
-    assert path.read_bytes() == first
-
-
-def test_baseline_silences_matching_findings(tmp_path):
-    case = CASES["SIM104"]
-    result = lint_sources(case["files"], only=["SIM104"])
-    path = tmp_path / "baseline.json"
-    save_baseline(path, result.findings)
-    rerun = lint_sources(case["files"], only=["SIM104"],
-                         baseline=load_baseline(path))
-    assert rerun.findings == []
-    assert rerun.baselined == 1
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == set()
-
-
-def test_committed_baseline_is_empty():
-    committed = Path(__file__).resolve().parent.parent / "LINT_BASELINE.json"
-    assert committed.exists()
-    assert load_baseline(committed) == set()
-
-
-# ---------------------------------------------------------------------------
 # Reporters.
 # ---------------------------------------------------------------------------
 
@@ -362,13 +346,13 @@ def test_json_reporter_schema():
     case = CASES["SIM104"]
     result = lint_sources(case["files"], only=["SIM104"])
     payload = json.loads(render_json(result, root="src"))
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["root"] == "src"
     assert payload["clean"] is False
     assert payload["files_checked"] == 1
     assert payload["counts"] == {"SIM104": 1}
     assert payload["suppressed"] == 0
-    assert payload["baselined"] == 0
+    assert "baselined" not in payload
     (entry,) = payload["findings"]
     assert sorted(entry) == ["code", "col", "line", "message", "path"]
     assert entry["code"] == "SIM104"
@@ -387,24 +371,50 @@ def test_text_reporter_lists_findings_and_summary():
 # The gate: the shipped tree lints clean, in-process and via the CLI.
 # ---------------------------------------------------------------------------
 
+def _lint_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_ROOT) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "lint", *args],
+        capture_output=True, text=True, env=env, cwd=str(SRC_ROOT.parent))
+
+
 def test_tree_lints_clean():
     result = lint_tree()
     assert result.clean, "\n".join(
         f.format() for f in result.all_findings())
 
 
+def test_single_file_lints_clean():
+    # A partial tree must not manufacture findings: CostModel fields read
+    # only in unlinted files are not dead (that is SIM602's whole-tree
+    # question, asked by --project).
+    result = lint_paths([SRC_ROOT / "repro" / "iomodels" / "costs.py"])
+    assert result.files_checked == 1
+    assert result.clean, "\n".join(
+        f.format() for f in result.all_findings())
+
+
 def test_cli_lint_json_smoke():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_ROOT) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--json"],
-        capture_output=True, text=True, env=env,
-        cwd=str(SRC_ROOT.parent))
+    proc = _lint_cli("--json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["clean"] is True
     assert payload["findings"] == []
+
+
+@pytest.mark.parametrize("args", [
+    ("--baseline", "LINT_BASELINE.json"),
+    ("--no-baseline",),
+    ("--update-baseline",),
+    ("--jobs", "2"),
+])
+def test_retired_lint_options_are_usage_errors(args):
+    proc = _lint_cli(*args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "usage:" in proc.stderr
+    assert f"unrecognized arguments: {args[0]}" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
