@@ -291,7 +291,7 @@ def _verify_point(params: dict) -> dict:
         out["det_problems"].append(str(exc))
     result = results[0]
     out["violations"] = [
-        str(v) for v in verify_testbed(result.testbed, result.monitor)]
+        str(v) for v in verify_testbed(result.testbed)]
     out["metrics"] = result.metrics
     if params["telemetry"]:
         out["telemetry_issue"] = _telemetry_smoke(name, seed=seed)

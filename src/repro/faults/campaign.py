@@ -19,7 +19,7 @@ content-addressed cache (``python -m repro faults --jobs N``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..cluster import TestbedSpec, build_testbed
 from ..experiments.executor import SweepCache, canonical_json, canonicalize, sweep
@@ -83,7 +83,6 @@ class CampaignResult:
     report: dict
     testbed: object
     workloads: List[object]
-    instrument: object = None
 
 
 class _BlockStreamDriver:
@@ -173,22 +172,14 @@ def _phase_entry(ops: int, duration_ns: int) -> dict:
     return {"ops": ops, "duration_ns": duration_ns, "ops_per_sec": rate}
 
 
-def execute_campaign(campaign: Campaign, seed: int = 0,
-                     instrument: Optional[Callable] = None) -> CampaignResult:
-    """Run one campaign at one seed; returns the result bundle.
-
-    ``instrument``, if given, is called with the built testbed before the
-    workload starts (scenario runs attach an
-    :class:`~repro.testing.invariants.EngineMonitor` here); whatever it
-    returns rides along in ``CampaignResult.instrument``.
-    """
+def execute_campaign(campaign: Campaign, seed: int = 0) -> CampaignResult:
+    """Run one campaign at one seed; returns the result bundle."""
     spec = campaign.spec.copy(seed=seed)
     testbed = build_testbed(spec)
     recorder = FlightRecorder(capacity=192).attach(testbed.env)
     injector = testbed.fault_injector
     if injector is not None:
         injector.recorder = recorder
-    extra = instrument(testbed) if instrument is not None else None
     drivers, workloads, count_ops = _start_workload(campaign, testbed)
 
     # Recovery-curve timeline: the run chopped into fixed windows, each
@@ -276,7 +267,7 @@ def execute_campaign(campaign: Campaign, seed: int = 0,
                    if unrecovered or violations else []),
     }
     return CampaignResult(report=canonicalize(report), testbed=testbed,
-                          workloads=workloads, instrument=extra)
+                          workloads=workloads)
 
 
 # -- the stock campaigns -----------------------------------------------------

@@ -426,6 +426,11 @@ class Environment:
         # triggered events and zero-delay call_soon entries.
         self._ready: Deque[Union[Event, Callable[[], None]]] = deque()
         self._heap: List[Tuple[int, int, Union[Event, Callable[[], None]]]] = []
+        # Items dispatched so far: triggered events, and bare callables
+        # (call_soon / schedule_at entries).  Their sum is the number of
+        # scheduler steps, the count an on_step monitor would see.
+        self.events_dispatched = 0
+        self.callbacks_dispatched = 0
         self._monitors: List[Any] = []
         # Split views of _monitors by capability; add_monitor/remove_monitor
         # keep all three in sync.  _monitors stays the union because its
@@ -541,8 +546,10 @@ class Environment:
                 monitor.on_advance(when)
             item = heappop(heap)[2]
         if isinstance(item, Event):
+            self.events_dispatched += 1
             item._run_callbacks()
         else:
+            self.callbacks_dispatched += 1
             item()
         if self._step_monitors:
             for monitor in self._step_monitors:
@@ -571,122 +578,149 @@ class Environment:
         the clock to the earliest remaining timer.  Nothing dispatched can
         push a timer at ``t`` (timer delays are strictly positive), so the
         run at ``t`` ends exactly when the heap's head moves past it.
+        Dispatch counts are kept in locals and written back on exit.
         """
         ready = self._ready
         heap = self._heap
         monitors = self._monitors
         t = self._now
-        while True:
-            while heap and heap[0][0] == t:
-                item = heappop(heap)[2]
-                if isinstance(item, Event):
-                    # Inlined Event._run_callbacks.
-                    item._state = _PROCESSED
-                    cb = item._cb0
-                    if cb is not None:
-                        item._cb0 = None
-                        cb(item)
-                    cbs = item._cbs
-                    if cbs is not None:
-                        item._cbs = None
-                        for cb in cbs:
+        events = callbacks = 0
+        try:
+            while True:
+                while heap and heap[0][0] == t:
+                    item = heappop(heap)[2]
+                    if isinstance(item, Event):
+                        events += 1
+                        # Inlined Event._run_callbacks.
+                        item._state = _PROCESSED
+                        cb = item._cb0
+                        if cb is not None:
+                            item._cb0 = None
                             cb(item)
-                else:
-                    item()
-            while ready:
-                item = ready.popleft()
-                if isinstance(item, Event):
-                    item._state = _PROCESSED
-                    cb = item._cb0
-                    if cb is not None:
-                        item._cb0 = None
-                        cb(item)
-                    cbs = item._cbs
-                    if cbs is not None:
-                        item._cbs = None
-                        for cb in cbs:
+                        cbs = item._cbs
+                        if cbs is not None:
+                            item._cbs = None
+                            for cb in cbs:
+                                cb(item)
+                    else:
+                        callbacks += 1
+                        item()
+                while ready:
+                    item = ready.popleft()
+                    if isinstance(item, Event):
+                        events += 1
+                        item._state = _PROCESSED
+                        cb = item._cb0
+                        if cb is not None:
+                            item._cb0 = None
                             cb(item)
-                else:
-                    item()
-            if monitors:
-                return False
-            if not heap:
-                if until is not None:
+                        cbs = item._cbs
+                        if cbs is not None:
+                            item._cbs = None
+                            for cb in cbs:
+                                cb(item)
+                    else:
+                        callbacks += 1
+                        item()
+                if monitors:
+                    return False
+                if not heap:
+                    if until is not None:
+                        self._now = until
+                    return True
+                t = heap[0][0]
+                if until is not None and t > until:
                     self._now = until
-                return True
-            t = heap[0][0]
-            if until is not None and t > until:
-                self._now = until
-                return True
-            if t < self._now:
-                raise SimulationError("time went backwards")
-            self._now = t
+                    return True
+                if t < self._now:
+                    raise SimulationError("time went backwards")
+                self._now = t
+        finally:
+            self.events_dispatched += events
+            self.callbacks_dispatched += callbacks
 
     def _run_monitored(self, until: Optional[int]) -> bool:
-        """Per-step run loop notifying monitors; returns False to switch.
+        """Run loop notifying monitors; returns False to switch loops.
 
-        Each timestamp's timers are popped as one batch before any of
-        them dispatches, then run one item at a time with a per-step
-        monitor notification.  The global dispatch order (timers at the
-        current time before ready entries, FIFO within each) is identical
-        to the fast loop's.
+        The fast loop's shape, one timestamp per pass, plus the hooks:
+        ``on_advance(t)`` before anything at a new ``t`` dispatches (and
+        on the final advance to ``until``), ``on_step(t, item)`` after
+        each item.  The dispatch order is therefore the fast loop's.  A
+        callback that detaches the last monitor lets the timers at ``t``
+        finish (notifying whoever is still attached) and the loop returns
+        before the next ready item.
         """
         ready = self._ready
         heap = self._heap
         monitors = self._monitors
         step_monitors = self._step_monitors
         advance_monitors = self._advance_monitors
-        batch: List[Any] = []
-        while monitors:
-            if heap and heap[0][0] <= self._now:
-                t = heap[0][0]
-                if t < self._now:
-                    raise SimulationError("time went backwards")
-            elif ready:
-                item = ready.popleft()
-                if isinstance(item, Event):
-                    item._run_callbacks()
-                else:
-                    item()
-                when = self._now
-                for monitor in step_monitors:
-                    monitor.on_step(when, item)
-                continue
-            elif not heap:
+        t = self._now
+        events = callbacks = 0
+        try:
+            while True:
+                while heap and heap[0][0] == t:
+                    item = heappop(heap)[2]
+                    if isinstance(item, Event):
+                        events += 1
+                        item._state = _PROCESSED
+                        cb = item._cb0
+                        if cb is not None:
+                            item._cb0 = None
+                            cb(item)
+                        cbs = item._cbs
+                        if cbs is not None:
+                            item._cbs = None
+                            for cb in cbs:
+                                cb(item)
+                    else:
+                        callbacks += 1
+                        item()
+                    for monitor in step_monitors:
+                        monitor.on_step(t, item)
+                while ready:
+                    if not monitors:
+                        return False
+                    item = ready.popleft()
+                    if isinstance(item, Event):
+                        events += 1
+                        item._state = _PROCESSED
+                        cb = item._cb0
+                        if cb is not None:
+                            item._cb0 = None
+                            cb(item)
+                        cbs = item._cbs
+                        if cbs is not None:
+                            item._cbs = None
+                            for cb in cbs:
+                                cb(item)
+                    else:
+                        callbacks += 1
+                        item()
+                    for monitor in step_monitors:
+                        monitor.on_step(t, item)
+                if not monitors:
+                    return False
+                if heap:
+                    t = heap[0][0]
+                    if until is None or t <= until:
+                        if t < self._now:
+                            raise SimulationError("time went backwards")
+                        self._now = t
+                        # Advance hooks fire before anything at t
+                        # dispatches, so a timeline closing windows here
+                        # sees only state produced strictly before t.
+                        for monitor in advance_monitors:
+                            monitor.on_advance(t)
+                        continue
                 if until is not None and until > self._now:
                     self._now = until
                     for monitor in advance_monitors:
                         monitor.on_advance(until)
                 return True
-            else:
-                t = heap[0][0]
-                if until is not None and t > until:
-                    if until > self._now:
-                        self._now = until
-                        for monitor in advance_monitors:
-                            monitor.on_advance(until)
-                    return True
-                self._now = t
-                # Advance hooks fire before anything at t dispatches, so
-                # a timeline closing windows here sees only state produced
-                # strictly before t.
-                for monitor in advance_monitors:
-                    monitor.on_advance(t)
-            while heap and heap[0][0] == t:
-                batch.append(heappop(heap)[2])
-            # Dispatch the whole batch even if a callback detaches the
-            # last monitor mid-way; the notification check per item keeps
-            # attach/detach-during-dispatch semantics exact.
-            for item in batch:
-                if isinstance(item, Event):
-                    item._run_callbacks()
-                else:
-                    item()
-                if monitors:
-                    for monitor in step_monitors:
-                        monitor.on_step(t, item)
-            del batch[:]
-        return False
+        finally:
+            self.events_dispatched += events
+            self.callbacks_dispatched += callbacks
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled item, or None if none is pending."""

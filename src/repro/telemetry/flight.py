@@ -5,7 +5,9 @@ the last ``capacity`` scheduler steps (plus any annotations components
 record explicitly) so that when something goes wrong — an invariant
 violation, a stuck workload — the moments leading up to it can be dumped
 for diagnosis.  Recording is passive: it never schedules events, so runs
-with and without a recorder are bit-identical.
+with and without a recorder are bit-identical.  A step is stored as the
+item itself and described only when read, so the per-step cost is one
+ring append; the ring bounds how many items it keeps alive.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class FlightRecorder:
         if capacity <= 0:
             raise ValueError(f"recorder capacity must be positive: {capacity}")
         self.capacity = capacity
-        self._entries: Deque[FlightEntry] = deque(maxlen=capacity)
+        # An annotation's FlightEntry, or (seq, at_ns, item) for a step.
+        self._entries: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
         self._pinned: List[FlightEntry] = []
         self._seq = 0
         self._env: Optional[Any] = None
@@ -57,9 +60,8 @@ class FlightRecorder:
             self._env = None
 
     def on_step(self, now: int, item: Any) -> None:
-        source, detail = _describe(item)
         self._seq += 1
-        self._entries.append((self._seq, now, source, detail))
+        self._entries.append((self._seq, now, item))
 
     # -- explicit annotations ----------------------------------------------
 
@@ -91,6 +93,9 @@ class FlightRecorder:
         items = list(self._entries)
         if last is not None:
             items = items[-last:]
+        items = [entry if len(entry) == 4
+                 else (entry[0], entry[1], *_describe(entry[2]))
+                 for entry in items]
         if self._pinned:
             seen = {entry[0] for entry in items}
             items = [entry for entry in self._pinned

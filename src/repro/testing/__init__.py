@@ -30,7 +30,6 @@ from .golden import (
     save_golden,
 )
 from .invariants import (
-    EngineMonitor,
     InvariantViolation,
     assert_no_violations,
     check_conservation,
@@ -51,7 +50,7 @@ from .scenarios import (
 )
 
 __all__ = [
-    "EngineMonitor", "InvariantViolation", "assert_no_violations",
+    "InvariantViolation", "assert_no_violations",
     "check_conservation", "check_core", "check_endpoint",
     "check_event_stats", "check_port", "verify_testbed",
     "Scenario", "ScenarioResult", "SCENARIOS", "run_scenario",

@@ -1,34 +1,29 @@
 """Cross-cutting simulation invariants, checkable on any completed run.
 
 The simulator's credibility rests on conservation laws the paper never
-states because real hardware enforces them for free: clocks only move
-forward, cores cannot be more than 100% busy, every delivered message was
-once sent, cycle ledgers balance.  This module makes those laws executable
-so every test, benchmark, and ``repro verify`` run can audit them.
+states because real hardware enforces them for free: cores cannot be more
+than 100% busy, every delivered message was once sent, cycle ledgers
+balance.  This module makes those laws executable so every test,
+benchmark, and ``repro verify`` run can audit them.  That clocks only
+move forward is the kernel's own check: a timer behind the clock raises
+:class:`~repro.sim.SimulationError`.
 
-Two entry points:
-
-* :class:`EngineMonitor` attaches to an :class:`~repro.sim.Environment`
-  *before* a run and audits the event stream as it executes (monotonic
-  clock, step counts).
-* :func:`verify_testbed` inspects a finished
-  :class:`~repro.cluster.Testbed` and returns every
-  :class:`InvariantViolation` found (an empty list means the run was
-  internally consistent).
+:func:`verify_testbed` inspects a finished
+:class:`~repro.cluster.Testbed` and returns every
+:class:`InvariantViolation` found (an empty list means the run was
+internally consistent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..hw.cpu import Core
 from ..iomodels.base import ExternalEndpoint, IoEventStats, NetPort
-from ..sim import Environment
 
 __all__ = [
     "InvariantViolation",
-    "EngineMonitor",
     "check_core",
     "check_port",
     "check_endpoint",
@@ -53,44 +48,6 @@ class InvariantViolation:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.invariant}] {self.subject}: {self.detail}"
-
-
-class EngineMonitor:
-    """Audits the live event stream of one :class:`Environment`.
-
-    Attach with ``monitor = EngineMonitor.attach(env)``; after the run,
-    ``monitor.violations`` holds anything the stream did wrong and
-    ``monitor.steps`` / ``monitor.last_ns`` describe what executed.
-    """
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self.steps = 0
-        self.events_processed = 0
-        self.callbacks_run = 0
-        self.last_ns = env.now
-        self.violations: List[InvariantViolation] = []
-
-    @classmethod
-    def attach(cls, env: Environment) -> "EngineMonitor":
-        monitor = cls(env)
-        env.add_monitor(monitor)
-        return monitor
-
-    def detach(self) -> None:
-        self.env.remove_monitor(self)
-
-    def on_step(self, now: int, item) -> None:
-        self.steps += 1
-        if now < self.last_ns:
-            self.violations.append(InvariantViolation(
-                "clock-monotonic", "environment",
-                f"step at {now} ns after clock reached {self.last_ns} ns"))
-        self.last_ns = now
-        if callable(item) and not hasattr(item, "callbacks"):
-            self.callbacks_run += 1
-        else:
-            self.events_processed += 1
 
 
 # -- per-object checks -------------------------------------------------------
@@ -220,24 +177,18 @@ def _testbed_cores(testbed) -> Iterable[Core]:
 _FLIGHT_DUMP_ENTRIES = 48
 
 
-def verify_testbed(testbed,
-                   monitor: Optional[EngineMonitor] = None,
-                   recorder=None
-                   ) -> List[InvariantViolation]:
+def verify_testbed(testbed, recorder=None) -> List[InvariantViolation]:
     """Audit every invariant on a finished testbed run.
 
-    Returns all violations found (empty list = clean).  Pass the
-    :class:`EngineMonitor` that watched the run to include its stream
-    findings.  Pass a :class:`~repro.telemetry.FlightRecorder` (or leave
-    ``recorder=None`` to use the testbed's bound telemetry, if any) and a
-    failing audit appends one extra violation carrying the recorder's
-    last entries — the context needed to debug what the run was doing
-    when the laws broke.
+    Returns all violations found (empty list = clean).  Pass a
+    :class:`~repro.telemetry.FlightRecorder` (or leave ``recorder=None``
+    to use the testbed's bound telemetry, if any) and a failing audit
+    appends one extra violation carrying the recorder's last entries —
+    the context needed to debug what the run was doing when the laws
+    broke.
     """
     now = testbed.env.now
     out: List[InvariantViolation] = []
-    if monitor is not None:
-        out.extend(monitor.violations)
     for core in _testbed_cores(testbed):
         out.extend(check_core(core, now))
     for port in testbed.ports:

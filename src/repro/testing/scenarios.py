@@ -5,12 +5,12 @@ the determinism tests, the invariant battery, and ``repro verify`` —
 drives the *same* registry of scenarios, so a behavioural change in any
 datapath shows up identically everywhere.
 
-Each scenario assembles a testbed, attaches an
-:class:`~repro.testing.invariants.EngineMonitor`, runs a short workload,
-and distils the run into a flat ``{metric_name: number}`` dict.  The
-metrics are chosen to fingerprint the whole datapath: event-stream shape,
-Table-3 virtualization events, message/byte flows, cycle ledgers, and the
-workload's own figures of merit.  Runs are a few simulated milliseconds —
+Each scenario assembles a testbed, runs a short workload, and distils
+the run into a flat ``{metric_name: number}`` dict.  The metrics are
+chosen to fingerprint the whole datapath: event-stream shape (the
+kernel's own dispatch counters), Table-3 virtualization events,
+message/byte flows, cycle ledgers, and the workload's own figures of
+merit.  Runs are a few simulated milliseconds —
 long enough for hundreds of transactions, short enough that the full
 registry replays in seconds of wall time.
 """
@@ -24,7 +24,6 @@ from ..cluster import MODEL_NAMES, TestbedSpec, build_testbed
 from ..sim import ms
 from ..workloads import ApacheBench, NetperfRR, NetperfStream, OpenLoopRR
 from ..workloads.filebench import FilebenchRandomIO
-from .invariants import EngineMonitor
 
 __all__ = [
     "Scenario",
@@ -44,7 +43,6 @@ class ScenarioResult:
     name: str
     testbed: object
     workloads: List[object]
-    monitor: EngineMonitor
     metrics: Metrics
 
 
@@ -60,11 +58,12 @@ class Scenario:
 
 # -- shared metric collection ------------------------------------------------
 
-def _common_metrics(testbed, monitor: EngineMonitor) -> Metrics:
+def _common_metrics(testbed) -> Metrics:
+    env = testbed.env
     metrics: Metrics = {
-        "sim.now_ns": testbed.env.now,
-        "sim.steps": monitor.steps,
-        "sim.events": monitor.events_processed,
+        "sim.now_ns": env.now,
+        "sim.steps": env.events_dispatched + env.callbacks_dispatched,
+        "sim.events": env.events_dispatched,
         "stats.total": testbed.stats.total(),
     }
     for column, value in testbed.stats.snapshot().items():
@@ -87,12 +86,11 @@ def _common_metrics(testbed, monitor: EngineMonitor) -> Metrics:
     return metrics
 
 
-def _finish(name: str, testbed, workloads, monitor: EngineMonitor,
-            extra: Metrics) -> ScenarioResult:
-    metrics = _common_metrics(testbed, monitor)
+def _finish(name: str, testbed, workloads, extra: Metrics) -> ScenarioResult:
+    metrics = _common_metrics(testbed)
     metrics.update(extra)
     return ScenarioResult(name=name, testbed=testbed, workloads=workloads,
-                          monitor=monitor, metrics=metrics)
+                          metrics=metrics)
 
 
 def _bind_workloads(testbed, workloads) -> None:
@@ -117,7 +115,6 @@ def _rr_scenario(model_name: str, n_vms: int = 2):
     def build(seed: int) -> ScenarioResult:
         tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=n_vms,
                                        seed=seed))
-        monitor = EngineMonitor.attach(tb.env)
         workloads = [
             NetperfRR(tb.env, tb.clients[i], tb.ports[i], tb.costs,
                       warmup_ns=_RR_WARMUP_NS,
@@ -133,7 +130,7 @@ def _rr_scenario(model_name: str, n_vms: int = 2):
             "rr.p90_latency_us": max(
                 w.percentile_us(90) for w in workloads),
         }
-        return _finish(f"rr_{model_name}", tb, workloads, monitor, extra)
+        return _finish(f"rr_{model_name}", tb, workloads, extra)
 
     return build
 
@@ -141,7 +138,6 @@ def _rr_scenario(model_name: str, n_vms: int = 2):
 def _stream_scenario(model_name: str):
     def build(seed: int) -> ScenarioResult:
         tb = build_testbed(TestbedSpec(model=model_name, seed=seed))
-        monitor = EngineMonitor.attach(tb.env)
         workloads = [NetperfStream(tb.env, tb.ports[0], tb.clients[0],
                                    tb.costs, warmup_ns=_RR_WARMUP_NS)]
         _bind_workloads(tb, workloads)
@@ -151,7 +147,7 @@ def _stream_scenario(model_name: str):
             "stream.chunks": workloads[0].chunks_received,
             "stream.bytes": workloads[0].bytes_received,
         }
-        return _finish(f"stream_{model_name}", tb, workloads, monitor, extra)
+        return _finish(f"stream_{model_name}", tb, workloads, extra)
 
     return build
 
@@ -160,7 +156,6 @@ def _apache_scenario(model_name: str, n_vms: int = 2):
     def build(seed: int) -> ScenarioResult:
         tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=n_vms,
                                        seed=seed))
-        monitor = EngineMonitor.attach(tb.env)
         workloads = [ApacheBench(tb.env, tb.clients[i], tb.ports[i],
                                  tb.costs, warmup_ns=_RR_WARMUP_NS)
                      for i in range(n_vms)]
@@ -170,7 +165,7 @@ def _apache_scenario(model_name: str, n_vms: int = 2):
             "apache.transactions": sum(w.transactions for w in workloads),
             "apache.tps": sum(w.throughput_tps() for w in workloads),
         }
-        return _finish(f"apache_{model_name}", tb, workloads, monitor, extra)
+        return _finish(f"apache_{model_name}", tb, workloads, extra)
 
     return build
 
@@ -186,7 +181,6 @@ def _filebench_scenario(model_name: str, channel_loss: float = 0.0,
         if model_name.startswith("vrio"):
             spec = spec.copy(channel_loss=channel_loss)
         tb = build_testbed(spec)
-        monitor = EngineMonitor.attach(tb.env)
         handle = tb.attach_ramdisk(tb.vms[0])
         workloads = [FilebenchRandomIO(
             tb.env, tb.vms[0], handle, rng=tb.rng.stream("filebench"),
@@ -202,7 +196,7 @@ def _filebench_scenario(model_name: str, channel_loss: float = 0.0,
             extra["filebench.retransmissions"] = (
                 client.reliable.retransmissions.value)
         return _finish(f"filebench_{model_name}{suffix}", tb, workloads,
-                       monitor, extra)
+                       extra)
 
     return build
 
@@ -212,7 +206,6 @@ def _scalability_scenario():
         tb = build_testbed(TestbedSpec(model="vrio", topology="scalability",
                                        n_vmhosts=2, vms_per_host=2,
                                        sidecores=1, seed=seed))
-        monitor = EngineMonitor.attach(tb.env)
         workloads = [
             NetperfRR(tb.env, tb.clients[i], tb.ports[i], tb.costs,
                       warmup_ns=_RR_WARMUP_NS,
@@ -225,7 +218,7 @@ def _scalability_scenario():
             "rr.mean_latency_us": sum(
                 w.mean_latency_us() for w in workloads) / len(workloads),
         }
-        return _finish("scalability_vrio", tb, workloads, monitor, extra)
+        return _finish("scalability_vrio", tb, workloads, extra)
 
     return build
 
@@ -236,7 +229,6 @@ def _dc_scale_scenario():
                                        n_racks=2, n_vmhosts=1,
                                        vms_per_host=1, sidecores=1,
                                        seed=seed))
-        monitor = EngineMonitor.attach(tb.env)
         workloads = [
             OpenLoopRR(tb.env, tb.clients[i], tb.ports[i], tb.costs,
                        arrivals_rng=tb.rng.stream(f"openloop-{i}-arrivals"),
@@ -262,7 +254,7 @@ def _dc_scale_scenario():
             "fabric.filtered": counters["filtered"],
             "fabric.trunk_tx_bytes": tb.fabric.trunk_tx_bytes(),
         }
-        return _finish("dc_scale", tb, workloads, monitor, extra)
+        return _finish("dc_scale", tb, workloads, extra)
 
     return build
 
@@ -272,9 +264,7 @@ def _fault_scenario(campaign_name: str):
         # Lazy: repro.faults pulls in the experiment executor; the scenario
         # registry must stay importable on its own.
         from ..faults import CAMPAIGNS, execute_campaign
-        result = execute_campaign(
-            CAMPAIGNS[campaign_name], seed,
-            instrument=lambda tb: EngineMonitor.attach(tb.env))
+        result = execute_campaign(CAMPAIGNS[campaign_name], seed)
         report = result.report
         extra: Metrics = {"fault.unrecovered": report["unrecovered"]}
         for i, fault in enumerate(report["faults"]):
@@ -291,7 +281,7 @@ def _fault_scenario(campaign_name: str):
             extra[f"throughput.{phase}.ops"] = (
                 report["throughput"][phase]["ops"])
         return _finish(f"fault_{campaign_name}", result.testbed,
-                       result.workloads, result.instrument, extra)
+                       result.workloads, extra)
 
     return build
 

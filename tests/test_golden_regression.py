@@ -34,7 +34,7 @@ from tests.conftest import GOLDEN_DIR
 @pytest.mark.parametrize("name", scenario_names())
 def test_scenario_matches_golden(name, scenario_run, golden_dir):
     result = scenario_run(name)
-    assert_no_violations(verify_testbed(result.testbed, result.monitor))
+    assert_no_violations(verify_testbed(result.testbed))
     assert_matches_golden(name, result.metrics, golden_dir)
 
 

@@ -7,7 +7,6 @@ from repro.hw.cpu import Core
 from repro.iomodels.base import IoEventStats
 from repro.sim import Environment
 from repro.testing import (
-    EngineMonitor,
     InvariantViolation,
     assert_no_violations,
     check_conservation,
@@ -16,66 +15,6 @@ from repro.testing import (
     check_port,
     verify_testbed,
 )
-
-
-# -- EngineMonitor ------------------------------------------------------------
-
-def test_monitor_observes_event_stream():
-    env = Environment()
-    monitor = EngineMonitor.attach(env)
-
-    def proc(env):
-        for _ in range(5):
-            yield env.timeout(10)
-
-    env.process(proc(env))
-    env.run()
-    assert monitor.steps > 0
-    assert monitor.events_processed > 0
-    assert monitor.last_ns == env.now == 50
-    assert not monitor.violations
-
-
-def test_monitor_detach_stops_counting():
-    env = Environment()
-    monitor = EngineMonitor.attach(env)
-    env.process(_ticks(env, 2))
-    env.run()
-    seen = monitor.steps
-    monitor.detach()
-    env.process(_ticks(env, 2))
-    env.run()
-    assert monitor.steps == seen
-
-
-def _ticks(env, n):
-    for _ in range(n):
-        yield env.timeout(1)
-
-
-def test_monitor_not_attached_twice():
-    def run(attach_times):
-        env = Environment()
-        monitor = EngineMonitor(env)
-        for _ in range(attach_times):
-            env.add_monitor(monitor)
-        env.process(_ticks(env, 3))
-        env.run()
-        env.remove_monitor(monitor)
-        env.remove_monitor(monitor)  # second removal is a no-op
-        return monitor
-
-    single, double = run(1), run(2)
-    assert double.steps == single.steps  # dedup: no double counting
-    assert single.steps == single.events_processed + single.callbacks_run
-
-
-def test_monitor_flags_backwards_clock():
-    env = Environment()
-    monitor = EngineMonitor(env)
-    monitor.last_ns = 100  # pretend we already saw t=100
-    monitor.on_step(50, lambda: None)
-    assert any(v.invariant == "clock-monotonic" for v in monitor.violations)
 
 
 # -- core accounting ----------------------------------------------------------
@@ -184,7 +123,7 @@ def test_conjured_messages_are_caught():
 
 def test_verify_testbed_clean_on_real_run(scenario_run):
     result = scenario_run("rr_elvis")
-    assert verify_testbed(result.testbed, result.monitor) == []
+    assert verify_testbed(result.testbed) == []
 
 
 def test_verify_testbed_catches_injected_corruption(scenario_run):
@@ -193,7 +132,7 @@ def test_verify_testbed_catches_injected_corruption(scenario_run):
     result = run_scenario("stream_elvis")
     core = result.testbed.service_cores[0]
     core.cycles_by_tag["work"] = core.cycles_by_tag.get("work", 0) + 1
-    violations = verify_testbed(result.testbed, result.monitor)
+    violations = verify_testbed(result.testbed)
     assert any(v.invariant == "cycle-ledger" for v in violations)
 
 

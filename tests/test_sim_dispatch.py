@@ -38,7 +38,7 @@ APACHE_VRIO_STREAM_SHA256 = (
     "f7207be9c477802b7345b87bb699d5c0c9125967d3b587c90c3c9cc468408d21")
 
 # Ceiling on Python calls into repro/sim per dispatched item for the
-# ApacheBench run in _apache_fast_loop: 4.52 with the one-call process
+# ApacheBench run in _sim_calls_per_item: 4.52 with the one-call process
 # wake (8.78 when each wake went through _on_event, _resume, the ok,
 # value and is_alive properties and add_callback).  Lower it when a
 # change removes calls; a change that adds one fails here.
@@ -85,30 +85,15 @@ def test_apache_vrio_dispatch_stream_pinned():
         APACHE_VRIO_STEPS, APACHE_VRIO_STREAM_SHA256)
 
 
-def _apache_fast_loop(monitor=None):
-    """Two ApacheBench clients over vRIO for 2 ms, on the unmonitored
-    loop unless ``monitor`` is given; returns the environment."""
+def _sim_calls_per_item() -> float:
+    """Python calls into repro/sim per dispatched item: two ApacheBench
+    clients over vRIO for 2 ms on the unmonitored loop, items counted by
+    the kernel's own dispatch counters."""
     tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=2, seed=0))
     for i in range(2):
         ApacheBench(tb.env, tb.clients[i], tb.ports[i], tb.costs,
                     warmup_ns=0)
-    if monitor is not None:
-        tb.env.add_monitor(monitor)
-    return tb.env
-
-
-class _StepCount:
-    def __init__(self) -> None:
-        self.steps = 0
-
-    def on_step(self, now, item) -> None:
-        self.steps += 1
-
-
-def _sim_calls_per_item() -> float:
-    counter = _StepCount()
-    _apache_fast_loop(counter).run(until=ms(2))
-    env = _apache_fast_loop()
+    env = tb.env
     calls = 0
 
     def profile(frame, event, arg):
@@ -121,12 +106,11 @@ def _sim_calls_per_item() -> float:
         env.run(until=ms(2))
     finally:
         sys.setprofile(None)
-    assert counter.steps > 1000
-    return calls / counter.steps
+    steps = env.events_dispatched + env.callbacks_dispatched
+    assert steps > 1000
+    return calls / steps
 
 
 def test_sim_calls_per_dispatched_item_bounded():
-    # The same schedule runs monitored (to count items) and unmonitored
-    # (to count calls); the dispatch order is identical on both loops.
     per_item = _sim_calls_per_item()
     assert per_item <= SIM_CALLS_PER_ITEM_MAX, per_item

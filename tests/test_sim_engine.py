@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import heapq
+
 import pytest
 
 from repro.sim import (
@@ -453,3 +455,154 @@ def test_process_schedule_matches_heap_oracle():
     oracle.call_soon(lambda: want.append((oracle.now, "soon")))
     oracle.run()
     assert got == want
+
+
+# -- dispatch counters ---------------------------------------------------------
+
+class _StepCounter:
+    """Monitor counting steps, split the way the kernel counters are."""
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.callbacks = 0
+
+    def on_step(self, now, item) -> None:
+        if isinstance(item, Event):
+            self.events += 1
+        else:
+            self.callbacks += 1
+
+
+def _mixed_program(env):
+    """Processes, timeouts, triggered events and bare callbacks, with
+    several items due at each of a few timestamps."""
+    gate = env.event()
+
+    def proc(env, tag):
+        for i in range(4):
+            yield env.timeout(5 + (i + tag) % 2 * 5)
+            env.call_soon(lambda: None)
+        if tag == 0:
+            gate.succeed(tag)
+        else:
+            yield gate
+
+    for tag in range(3):
+        env.process(proc(env, tag))
+    for at in (0, 5, 10, 10, 25):
+        env.schedule_at(at, lambda: None)
+    env.call_soon(lambda: env.call_soon(lambda: None), delay=15)
+
+
+def _step_all(env):
+    while env.peek() is not None:
+        env.step()
+
+
+def _resume_mid_timestamp(env):
+    env.run(until=10)
+    env.step()  # the first item at 15 ns
+    assert env.peek() == env.now == 15  # more is due at 15 ns
+    env.run(until=20)
+    env.step()
+    env.run()
+
+
+@pytest.mark.parametrize("drive, monitored", [
+    (Environment.run, False),
+    (Environment.run, True),
+    (_step_all, False),
+    (_resume_mid_timestamp, False),
+    (_resume_mid_timestamp, True),
+], ids=["fast", "monitored", "step", "resumed-fast", "resumed-monitored"])
+def test_dispatch_counters_match_step_monitor(drive, monitored):
+    reference = Environment()
+    _mixed_program(reference)
+    counter = _StepCounter()
+    reference.add_monitor(counter)
+    reference.run()
+    want = (counter.events, counter.callbacks)
+    assert want[0] > 10 and want[1] > 10
+
+    env = Environment()
+    _mixed_program(env)
+    watcher = _StepCounter()
+    if monitored:
+        env.add_monitor(watcher)
+    drive(env)
+    assert (env.events_dispatched, env.callbacks_dispatched) == want
+    if monitored:
+        assert (watcher.events, watcher.callbacks) == want
+
+
+@pytest.mark.parametrize("monitored", [False, True],
+                         ids=["fast", "monitored"])
+def test_dispatch_counters_survive_an_exception(monitored):
+    env = Environment()
+    if monitored:
+        env.add_monitor(_StepCounter())
+
+    def boom():
+        raise RuntimeError("boom")
+
+    env.timeout(5)
+    env.call_soon(lambda: None, delay=5)
+    env.call_soon(boom, delay=5)
+    env.call_soon(lambda: None, delay=5)
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    # The raising item was dispatched; the one after it was not.
+    assert (env.events_dispatched, env.callbacks_dispatched) == (1, 2)
+
+
+def test_apache_vrio_dispatch_counts(scenario_run):
+    env = scenario_run("apache_vrio").testbed.env
+    assert (env.events_dispatched + env.callbacks_dispatched,
+            env.events_dispatched) == (18_155, 14_319)
+
+
+def test_monitor_not_attached_twice():
+    def run(attach_times):
+        env = Environment()
+        counter = _StepCounter()
+        for _ in range(attach_times):
+            env.add_monitor(counter)
+        _mixed_program(env)
+        env.run()
+        env.remove_monitor(counter)
+        env.remove_monitor(counter)  # second removal is a no-op
+        return counter
+
+    single, double = run(1), run(2)
+    # dedup: no double counting
+    assert (double.events, double.callbacks) == (
+        single.events, single.callbacks)
+
+
+# -- the clock never runs backwards ----------------------------------------
+
+def _stale_timer_env():
+    """An environment whose timer heap holds an entry behind the clock,
+    the state a scheduler bug would leave; nothing public can make it."""
+    env = Environment()
+    env.run(until=100)
+    heapq.heappush(env._heap, (50, 0, lambda: None))
+    return env
+
+
+@pytest.mark.parametrize("monitored", [False, True],
+                         ids=["fast", "monitored"])
+def test_run_raises_on_timer_behind_clock(monitored):
+    env = _stale_timer_env()
+    if monitored:
+        env.add_monitor(_StepCounter())
+    with pytest.raises(SimulationError, match="time went backwards"):
+        env.run()
+    assert env.now == 100
+
+
+def test_step_raises_on_timer_behind_clock():
+    env = _stale_timer_env()
+    with pytest.raises(SimulationError, match="time went backwards"):
+        env.step()
+    assert env.now == 100

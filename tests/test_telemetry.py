@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.telemetry import (
     validate_chrome_trace,
     validate_metrics,
 )
+from repro.telemetry.flight import _describe
 
 
 # -- registry ---------------------------------------------------------------
@@ -236,6 +238,62 @@ def test_flight_recorder_observes_engine_steps():
     assert recorder.recorded == before
 
 
+class _EagerRecorder(FlightRecorder):
+    """The recorder as it would be if it described each step at once."""
+
+    def on_step(self, now, item):
+        self._seq += 1
+        self._entries.append((self._seq, now, *_describe(item)))
+
+
+def test_flight_recorder_dump_matches_eager_description():
+    from repro.cluster import TestbedSpec, build_testbed
+    from repro.sim import ms
+    from repro.workloads import NetperfRR
+
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=2, seed=0))
+    lazy = FlightRecorder(capacity=64).attach(tb.env)
+    eager = _EagerRecorder(capacity=64).attach(tb.env)
+    for i in range(2):
+        NetperfRR(tb.env, tb.clients[i], tb.ports[i], tb.costs,
+                  rng=tb.rng.stream(f"rr-client-{i}"))
+    for at_ns in (ms(0.1), ms(0.2)):
+        def mark(at_ns=at_ns):
+            for recorder in (lazy, eager):
+                recorder.note(at_ns, "mark", "pinned", pin=True)
+        tb.env.schedule_at(at_ns, mark)
+    tb.env.run(until=ms(0.5))
+    sources = {source for _, _, source, _ in eager.entries()}
+    assert {"process", "event", "callback", "mark"} <= sources
+    assert lazy.entries() == eager.entries()
+    assert lazy.dump() == eager.dump()
+    assert lazy.dump(last=10) == eager.dump(last=10)
+
+
+def test_flight_recorder_capacity_enforced_under_session():
+    from repro.testing import run_scenario
+
+    notes = []
+    note = FlightRecorder.note
+
+    def counting_note(self, *args, **kwargs):
+        notes.append(args)
+        note(self, *args, **kwargs)
+
+    with mock.patch.object(FlightRecorder, "note", counting_note):
+        with TelemetrySession():
+            result = run_scenario("apache_vrio", seed=0)
+    env = result.testbed.env
+    recorder = result.testbed.telemetry.recorder
+    steps = env.events_dispatched + env.callbacks_dispatched
+    assert steps == 18_155
+    assert recorder.recorded == steps + len(notes)
+    assert len(recorder._entries) == recorder.capacity
+    pinned = len(recorder._pinned)
+    assert pinned <= FlightRecorder.PINNED_CAPACITY
+    assert len(recorder.entries()) <= recorder.capacity + pinned
+
+
 def test_verify_testbed_dumps_flight_recorder_on_violation():
     from repro.testing import run_scenario, verify_testbed
 
@@ -243,10 +301,10 @@ def test_verify_testbed_dumps_flight_recorder_on_violation():
         result = run_scenario("rr_vrio", seed=0)
     testbed = result.testbed
     # A clean run attaches no flight-recorder violation.
-    assert verify_testbed(testbed, result.monitor) == []
+    assert verify_testbed(testbed) == []
     # Corrupt a counter: the audit must now append the recorder dump.
     testbed.stats.exits.value = -1
-    violations = verify_testbed(testbed, result.monitor)
+    violations = verify_testbed(testbed)
     assert violations
     assert violations[-1].invariant == "flight-recorder"
     assert "flight recorder: last" in violations[-1].detail
