@@ -133,8 +133,10 @@ def test_bench_ablation_rx_ring(benchmark, show):
         n_writes = 2000
         for ring in (512, 4096):
             from repro.iomodels.costs import DEFAULT_COSTS
-            costs = DEFAULT_COSTS.copy(
-                blk_initial_timeout_ns=seconds(2))  # isolate drops from timeouts
+            # Isolate drops from timeouts; the cap must admit the
+            # initial value.
+            costs = DEFAULT_COSTS.copy(blk_initial_timeout_ns=seconds(2),
+                                       blk_max_timeout_ns=seconds(2))
             tb = build_simple_setup("vrio", 1, with_clients=False,
                                     channel_rx_ring=ring, pump_window=1,
                                     costs=costs)

@@ -70,120 +70,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from . import experiments as ex
 from .analysis import series_by_model
 from .analysis.charts import ascii_chart
 from .experiments import SweepCache, sweep
+from .experiments.registry import ARTIFACTS, artifact_names, observe_aliases
 from .iomodels.costs import DEFAULT_COSTS
 from .sim import ms
 
-__all__ = ["main", "ARTIFACTS"]
-
-
-def _quick_ns(quick: bool) -> int:
-    return ms(15) if quick else ms(30)
-
-
-def _fig05(quick, **kw):
-    points = ex.run_fig05(vm_counts=(1, 4, 7) if quick else range(1, 8),
-                          run_ns=_quick_ns(quick), **kw)
-    return ex.format_fig05(points), points
-
-
-def _fig07(quick, **kw):
-    points = ex.run_fig07(vm_counts=(1, 4, 7) if quick else range(1, 8),
-                          run_ns=_quick_ns(quick), **kw)
-    return ex.format_fig07(points), points
-
-
-def _fig09(quick, **kw):
-    points = ex.run_fig09(vm_counts=(1, 4, 7) if quick else range(1, 8),
-                          run_ns=_quick_ns(quick), **kw)
-    return ex.format_fig09(points), points
-
-
-def _dc_scale(quick, **kw):
-    racks = (1, 2) if quick else (1, 2, 4)
-    users = (500, 2_000) if quick else (1_000, 10_000)
-    points = ex.run_dc_scale(rack_counts=racks, user_counts=users,
-                             run_ns=ms(4) if quick else ms(8), **kw)
-    return ex.format_dc_scale(points), points
-
-
-def _fig13(quick, **kw):
-    vms = (4, 12, 28) if quick else (4, 8, 12, 16, 20, 24, 28)
-    text = ex.format_fig13(ex.run_fig13a(total_vms=vms,
-                                         run_ns=_quick_ns(quick), **kw),
-                           ex.run_fig13b(total_vms=vms,
-                                         run_ns=_quick_ns(quick), **kw))
-    return text, None
-
-
-# artifact -> (description, runner(quick, jobs=, cache=) -> (text, points))
-ARTIFACTS: Dict[str, Tuple[str, Callable]] = {
-    "fig1": ("CPU vs NIC upgrade price ratios",
-             lambda q, **kw: (ex.format_fig01(ex.run_fig01(**kw)), None)),
-    "tab1": ("Dell R930 server configurations",
-             lambda q, **kw: (ex.format_tab01(ex.run_tab01(**kw)), None)),
-    "tab2": ("Elvis vs vRIO rack prices",
-             lambda q, **kw: (ex.format_tab02(ex.run_tab02(**kw)), None)),
-    "fig3": ("SSD consolidation price ratios",
-             lambda q, **kw: (ex.format_fig03(ex.run_fig03(**kw)), None)),
-    "tab3": ("per request-response virtualization events",
-             lambda q, **kw: (ex.format_tab03(ex.run_tab03(**kw)), None)),
-    "fig5": ("ApacheBench throughput, all five models", _fig05),
-    "fig7": ("netperf RR latency vs number of VMs", _fig07),
-    "fig8": ("vRIO latency gap and IOhost contention",
-             lambda q, **kw: (ex.format_fig08(ex.run_fig08(
-                 vm_counts=(1, 4, 7) if q else range(1, 8),
-                 run_ns=_quick_ns(q), **kw)), None)),
-    "tab4": ("tail latency percentiles",
-             lambda q, **kw: (ex.format_tab04(ex.run_tab04(
-                 run_ns=ms(150) if q else ms(400), **kw)), None)),
-    "fig9": ("netperf 64B stream throughput", _fig09),
-    "fig10": ("per-packet processing cycles",
-              lambda q, **kw: (ex.format_fig10(
-                  ex.run_fig10(_quick_ns(q), **kw)), None)),
-    "fig11": ("equal-core throughput comparison",
-              lambda q, **kw: (ex.format_fig11(
-                  ex.run_fig11(_quick_ns(q), **kw)), None)),
-    "fig12": ("memcached + Apache macrobenchmarks",
-              lambda q, **kw: (ex.format_fig12(ex.run_fig12(
-                  vm_counts=(1, 4, 7) if q else range(1, 8),
-                  run_ns=_quick_ns(q), **kw)), None)),
-    "fig13": ("IOhost scalability (4 VMhosts)", _fig13),
-    "fig14": ("filebench on a remote ramdisk",
-              lambda q, **kw: (ex.format_fig14(ex.run_fig14(
-                  vm_counts=(1, 4, 7) if q else range(1, 8),
-                  run_ns=_quick_ns(q), **kw)), None)),
-    "fig14ssd": ("the SATA-SSD variant of fig14",
-                 lambda q, **kw: (ex.format_fig14_ssd(ex.run_fig14_ssd(
-                     vm_counts=(1, 4), run_ns=ms(50), **kw)), None)),
-    "fig15": ("sidecore utilization under consolidation",
-              lambda q, **kw: (ex.format_fig15(
-                  ex.run_fig15(ms(50), **kw)), None)),
-    "fig16a": ("consolidation tradeoff 2=>1",
-               lambda q, **kw: (ex.format_fig16a(
-                   ex.run_fig16a(ms(40), **kw)), None)),
-    "fig16b": ("load imbalance 2=>2 with AES",
-               lambda q, **kw: (ex.format_fig16b(
-                   ex.run_fig16b(ms(40), **kw)), None)),
-    "energy": ("mwait vs polling sidecores (extension)",
-               lambda q, **kw: (ex.format_energy(ex.run_energy(
-                   vm_counts=(1, 4, 7), run_ns=_quick_ns(q), **kw)), None)),
-    "dc_scale": ("multi-rack fabric under open-loop load (extension)",
-                 _dc_scale),
-}
-
-# Artifacts whose run_* functions take a ``models=`` registry filter, so
-# ``repro run FIG --models a,b,c`` can restrict the cast.  The remaining
-# artifacts have fixed casts (price models, vRIO-only topologies, the
-# vrio-vs-optimum latency-gap study, ...).
-MODEL_FILTERABLE = frozenset((
-    "tab3", "fig5", "fig7", "tab4", "fig9", "fig10", "fig12",
-    "fig14", "fig14ssd"))
+__all__ = ["main"]
 
 
 def _jobs_arg(value: str) -> Union[int, str]:
@@ -323,7 +219,7 @@ def _verify_command(args) -> int:
     points = [{"scenario": name, "seed": args.seed,
                "telemetry": bool(args.telemetry)} for name in names]
     outcomes = sweep(points, _verify_point, jobs=args.jobs,
-                     artifact="verify", cache=_make_cache(args))
+                     record="verify", cache=_make_cache(args))
 
     failures = 0
     header = (f"{'scenario':24s} {'invariants':>10s} {'determinism':>11s} "
@@ -502,17 +398,6 @@ def _faults_command(args) -> int:
     return 0
 
 
-# Figure artifacts accepted by `repro observe` as aliases for the
-# scenario reproducing that figure's shape.
-_OBSERVE_ALIASES = {
-    "fig7": "rr_vrio",
-    "fig9": "stream_vrio",
-    "fig12": "apache_vrio",
-    "fig13": "scalability_vrio",
-    "fig14": "filebench_vrio",
-}
-
-
 def _observe_slo_spec(args, scenario: str, width_ns: int):
     """Build the SloSpec requested by the --slo family of flags.
 
@@ -557,14 +442,14 @@ def _observe_command(args) -> int:
     )
     from .testing import SCENARIOS, run_scenario, scenario_names
 
-    name = _OBSERVE_ALIASES.get(args.scenario, args.scenario)
+    aliases = observe_aliases()
+    name = aliases.get(args.scenario, args.scenario)
     if name not in SCENARIOS:
         print(f"unknown scenario: {args.scenario}", file=sys.stderr)
         print(f"valid scenarios: {', '.join(scenario_names())}",
               file=sys.stderr)
         print("figure aliases: "
-              + ", ".join(f"{k}={v}"
-                          for k, v in sorted(_OBSERVE_ALIASES.items())),
+              + ", ".join(f"{k}={v}" for k, v in sorted(aliases.items())),
               file=sys.stderr)
         return 2
 
@@ -727,6 +612,51 @@ def _parse_models_filter(spec: str) -> Union[Tuple[str, ...], int]:
     return selected
 
 
+def _run_command(args) -> int:
+    """Regenerate one registered artifact, or all of them."""
+    if args.artifact != "all" and args.artifact not in ARTIFACTS:
+        print(f"unknown artifact: {args.artifact}", file=sys.stderr)
+        print(f"valid artifacts: all, {', '.join(artifact_names())}",
+              file=sys.stderr)
+        return 2
+    models = None
+    if args.models is not None:
+        models = _parse_models_filter(args.models)
+        if isinstance(models, int):
+            return models
+        if args.artifact != "all" \
+                and not ARTIFACTS[args.artifact].model_filterable:
+            print(f"{args.artifact} does not take a --models filter",
+                  file=sys.stderr)
+            print("filterable artifacts: "
+                  + ", ".join(name for name in artifact_names()
+                              if ARTIFACTS[name].model_filterable),
+                  file=sys.stderr)
+            return 2
+    cache = _make_cache(args)
+    names = artifact_names() if args.artifact == "all" else [args.artifact]
+    for i, name in enumerate(names):
+        artifact = ARTIFACTS[name]
+        kw = {"jobs": args.jobs, "cache": cache}
+        if models is not None and artifact.model_filterable:
+            kw["models"] = models
+        result = artifact.run(**artifact.params(args.quick), **kw)
+        if args.artifact == "all":
+            if i:
+                print()
+            print(f"== {name} ==")
+        print(artifact.format(result))
+        if args.chart:
+            if not artifact.chartable:
+                print("\n(no chartable series for this artifact)")
+            else:
+                series = {s: [(float(n), v) for n, v in values]
+                          for s, values in series_by_model(result).items()}
+                print()
+                print(ascii_chart(series, title=name))
+    return 0
+
+
 def main(argv: Optional[list] = None) -> int:
     try:
         return _main(argv)
@@ -819,8 +749,8 @@ def _main(argv: Optional[list] = None) -> int:
         "observe", help="run one scenario under full telemetry")
     observe_parser.add_argument("scenario", metavar="SCENARIO",
                                 help="scenario name (see verify --list) or "
-                                     "a figure alias (fig7, fig9, fig12, "
-                                     "fig13, fig14)")
+                                     "a figure alias ("
+                                     + ", ".join(observe_aliases()) + ")")
     observe_parser.add_argument("--seed", type=int, default=0,
                                 help="master RNG seed for the run")
     observe_parser.add_argument("--trace", metavar="PATH", default=None,
@@ -873,8 +803,8 @@ def _main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name in sorted(ARTIFACTS):
-            print(f"{name:10s} {ARTIFACTS[name][0]}")
+        for name in artifact_names():
+            print(f"{name:10s} {ARTIFACTS[name].title}")
         return 0
     if args.command == "models":
         return _models_command(args)
@@ -896,47 +826,7 @@ def _main(argv: Optional[list] = None) -> int:
     if args.command == "observe":
         return _observe_command(args)
     if args.command == "run":
-        if args.artifact != "all" and args.artifact not in ARTIFACTS:
-            print(f"unknown artifact: {args.artifact}", file=sys.stderr)
-            print(f"valid artifacts: all, {', '.join(sorted(ARTIFACTS))}",
-                  file=sys.stderr)
-            return 2
-        models = None
-        if args.models is not None:
-            models = _parse_models_filter(args.models)
-            if isinstance(models, int):
-                return models
-            if args.artifact != "all" \
-                    and args.artifact not in MODEL_FILTERABLE:
-                print(f"{args.artifact} does not take a --models filter",
-                      file=sys.stderr)
-                print(f"filterable artifacts: "
-                      f"{', '.join(sorted(MODEL_FILTERABLE))}",
-                      file=sys.stderr)
-                return 2
-        kw = {"jobs": args.jobs, "cache": _make_cache(args)}
-        names = sorted(ARTIFACTS) if args.artifact == "all" \
-            else [args.artifact]
-        for i, name in enumerate(names):
-            _description, runner = ARTIFACTS[name]
-            if models is not None and name in MODEL_FILTERABLE:
-                text, points = runner(args.quick, models=models, **kw)
-            else:
-                text, points = runner(args.quick, **kw)
-            if args.artifact == "all":
-                if i:
-                    print()
-                print(f"== {name} ==")
-            print(text)
-            if args.chart:
-                if points is None:
-                    print("\n(no chartable series for this artifact)")
-                else:
-                    series = {s: [(float(n), v) for n, v in values]
-                              for s, values in series_by_model(points).items()}
-                    print()
-                    print(ascii_chart(series, title=name))
-        return 0
+        return _run_command(args)
     parser.print_help()
     return 1
 

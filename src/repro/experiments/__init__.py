@@ -1,4 +1,5 @@
-"""One runner per paper table/figure.  See DESIGN.md §4 for the index."""
+"""One runner per paper table/figure.  :mod:`.registry` lists them (the
+one artifact list); DESIGN.md §4 indexes them against the paper."""
 
 from .block_experiments import (
     FIG14_MIXES,
@@ -49,6 +50,7 @@ from .runner import SeriesPoint, macro_run, rr_run, stream_run
 from .scalability_experiments import (
     format_fig13,
     format_fig13_util,
+    run_fig13,
     run_fig13_util,
     run_fig13a,
     run_fig13b,
@@ -80,7 +82,7 @@ __all__ = [
     "run_tab04", "format_tab04",
     "run_fig09", "format_fig09", "run_fig10", "format_fig10",
     "run_fig11", "format_fig11", "run_fig12", "format_fig12",
-    "run_fig13a", "run_fig13b", "format_fig13",
+    "run_fig13", "run_fig13a", "run_fig13b", "format_fig13",
     "run_fig13_util", "format_fig13_util",
     "run_fig14", "format_fig14", "FIG14_MIXES",
     "run_fig14_ssd", "format_fig14_ssd",

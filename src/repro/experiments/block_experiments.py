@@ -73,7 +73,7 @@ def run_fig14(vm_counts: Sequence[int] = range(1, 8),
                                  else FIG14_MODELS)
               for n in vm_counts]
     rows = sweep(points, _fig14_point, jobs=jobs,
-                 artifact="fig14", cache=cache)
+                 record="fig14", cache=cache)
     result: Dict[str, List[dict]] = {mix: [] for mix in FIG14_MIXES}
     for p, row in zip(points, rows):
         result[p["mix"]].append(row)
@@ -117,7 +117,7 @@ def run_fig14_ssd(vm_counts: Sequence[int] = (1, 4, 7),
     points = [{"model": model_name, "n_vms": int(n), "run_ns": run_ns}
               for n in vm_counts for model_name in models]
     values = sweep(points, _fig14_ssd_point, jobs=jobs,
-                   artifact="fig14ssd", cache=cache)
+                   record="fig14ssd", cache=cache)
     ops = {(p["model"], p["n_vms"]): v for p, v in zip(points, values)}
     rows = []
     for n in vm_counts:

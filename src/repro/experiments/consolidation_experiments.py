@@ -77,7 +77,7 @@ def run_fig15(run_ns: int = ms(60), interval_ns: int = ms(2),
                "run_ns": run_ns, "interval_ns": interval_ns}
               for model_name, workers in (("elvis", 1), ("vrio", 1))]
     rows = sweep(points, _fig15_point, jobs=jobs,
-                 artifact="fig15", cache=cache)
+                 record="fig15", cache=cache)
     result = {}
     for p, row in zip(points, rows):
         series = []
@@ -124,7 +124,7 @@ def run_fig16a(run_ns: int = ms(60),
     points = [{"model": model_name, "run_ns": run_ns}
               for model_name in ("elvis", "vrio", "baseline")]  # simlint: disable=SIM501
     totals = sweep(points, _fig16a_point, jobs=jobs,
-                   artifact="fig16a", cache=cache)
+                   record="fig16a", cache=cache)
     reference = totals[0]
     return [{"model": p["model"], "throughput_mbps": total,
              "relative": total / reference - 1.0}
@@ -169,7 +169,7 @@ def run_fig16b(run_ns: int = ms(60),
     points = [{"model": model_name, "run_ns": run_ns}
               for model_name in ("elvis", "vrio")]  # simlint: disable=SIM501
     totals = sweep(points, _fig16b_point, jobs=jobs,
-                   artifact="fig16b", cache=cache)
+                   record="fig16b", cache=cache)
     reference = totals[0]
     return [{"model": p["model"], "throughput_mbps": total,
              "relative": total / reference - 1.0}

@@ -31,7 +31,7 @@ def run_fig01(jobs: int = 1,
     kinds = ("cpu", "nic")
     points = [{"kind": kind} for kind in kinds]
     values = sweep(points, _fig01_point, jobs=jobs,
-                   artifact="fig1", cache=cache)
+                   record="fig1", cache=cache)
     return dict(zip(kinds, values))
 
 
@@ -43,7 +43,7 @@ def run_tab01(jobs: int = 1,
               cache: Optional[SweepCache] = None) -> List[dict]:
     """Table 1: R930 per-server price, components, throughput."""
     return sweep([{}], _tab01_point, jobs=jobs,
-                 artifact="tab1", cache=cache)[0]
+                 record="tab1", cache=cache)[0]
 
 
 def _tab02_point(params: dict) -> List[dict]:
@@ -54,7 +54,7 @@ def run_tab02(jobs: int = 1,
               cache: Optional[SweepCache] = None) -> List[dict]:
     """Table 2: overall Elvis vs vRIO rack prices."""
     return sweep([{}], _tab02_point, jobs=jobs,
-                 artifact="tab2", cache=cache)[0]
+                 record="tab2", cache=cache)[0]
 
 
 def _fig03_point(params: dict) -> List[dict]:
@@ -65,7 +65,7 @@ def run_fig03(jobs: int = 1,
               cache: Optional[SweepCache] = None) -> List[dict]:
     """Fig. 3: vRIO price relative to Elvis per SSD consolidation ratio."""
     return sweep([{}], _fig03_point, jobs=jobs,
-                 artifact="fig3", cache=cache)[0]
+                 record="fig3", cache=cache)[0]
 
 
 def format_fig01(result: Dict[str, List[tuple]]) -> str:

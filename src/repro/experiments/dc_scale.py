@@ -109,7 +109,7 @@ def run_dc_scale(rack_counts: Sequence[int] = RACK_COUNTS,
                "oversubscription": oversubscription}
               for r in rack_counts for u in user_counts]
     return sweep(points, _dc_point, jobs=jobs,
-                 artifact="dc_scale", cache=cache)
+                 record="dc_scale", cache=cache)
 
 
 def format_dc_scale(rows: List[dict]) -> str:

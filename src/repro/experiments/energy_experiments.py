@@ -53,7 +53,7 @@ def run_energy(vm_counts: Sequence[int] = (1, 4, 7),
     points = [{"policy": policy, "n_vms": int(n), "run_ns": run_ns}
               for policy in ("poll", "mwait") for n in vm_counts]
     return sweep(points, _energy_point, jobs=jobs,
-                 artifact="energy", cache=cache)
+                 record="energy", cache=cache)
 
 
 def format_energy(rows: List[dict]) -> str:

@@ -11,10 +11,12 @@ experiment modules use:
   (``jobs=1`` keeps today's in-process path, ``jobs="auto"`` uses every
   core) and merged back in deterministic point order;
 * each point's JSON result is stored in an on-disk cache addressed by the
-  SHA-256 of ``(artifact id, point params, CostModel fingerprint, code
+  SHA-256 of ``(record name, point params, CostModel fingerprint, code
   version)``, so re-running an unchanged sweep is near-instant while any
   change to the inputs — including editing any ``repro`` source file —
-  misses cleanly;
+  misses cleanly.  A *record* names one point function, so artifacts
+  that read the same runs (fig5 and fig12, fig7 and fig8, fig9 and
+  fig11) share their cache entries instead of re-simulating;
 * every result, fresh or cached, is round-tripped through canonical JSON
   before being returned, which guarantees serial, parallel, cold and warm
   runs of the same artifact are *byte-identical*.
@@ -98,11 +100,11 @@ def code_version() -> str:
     return _code_version
 
 
-def point_key(artifact: str, params: dict,
+def point_key(record: str, params: dict,
               costs: Optional[CostModel]) -> dict:
     """The full key material identifying one sweep point's result."""
     return {
-        "artifact": artifact,
+        "record": record,
         "params": canonicalize(params),
         "costs": cost_fingerprint(costs),
         "code": code_version(),
@@ -219,7 +221,7 @@ def _run_pool(fn: Callable[[dict], Any], params: List[dict],
 
 def sweep(points: Sequence[dict], fn: Callable[[dict], Any],
           jobs: Union[int, str, None] = 1, *,
-          artifact: str = "",
+          record: str,
           cache: Optional[SweepCache] = None,
           costs: Optional[CostModel] = None) -> List[Any]:
     """Evaluate ``fn`` over independent sweep ``points``.
@@ -234,8 +236,11 @@ def sweep(points: Sequence[dict], fn: Callable[[dict], Any],
     jobs:
         Worker processes; ``1`` runs in-process, ``"auto"`` uses all
         cores.  The value never affects results, only wall-clock time.
-    artifact:
-        Cache namespace, normally the artifact id (``"fig13"``).
+    record:
+        Cache namespace: the name of the run record ``fn`` computes, one
+        name per point function (``"rr"``, ``"fig13a"``).  It is a
+        literal at each call site rather than ``fn``'s name, because
+        callers may wrap ``fn`` in closures that all share one name.
     cache:
         A :class:`SweepCache`, or ``None`` to disable caching.
     costs:
@@ -252,7 +257,7 @@ def sweep(points: Sequence[dict], fn: Callable[[dict], Any],
     keys: List[Optional[dict]] = [None] * len(params_list)
     if cache is not None:
         for i, params in enumerate(params_list):
-            keys[i] = point_key(artifact, params, costs)
+            keys[i] = point_key(record, params, costs)
             digests[i] = point_digest(keys[i])
             hit = cache.load(digests[i], keys[i])
             if hit is None:

@@ -3,7 +3,9 @@ IOhost contention), Table 4 (tail latency).
 
 Each figure is expressed as independent sweep points evaluated through
 :func:`~repro.experiments.executor.sweep`, so regeneration parallelizes
-across processes and replays from the persistent result cache.
+across processes and replays from the persistent result cache.  Figs. 7
+and 8 share one ``rr`` run record per (model, N): Fig. 8 is the vRIO and
+optimum cells of Fig. 7, read as a latency gap plus the IOhost contention.
 """
 
 from __future__ import annotations
@@ -26,11 +28,16 @@ FIG7_MODELS = tuple(reversed(filter_models(net=True, ablation=False,
                                            order="throughput")))
 
 
-def _fig07_point(params: dict) -> float:
-    """One (model, N) cell of Fig. 7: mean RR latency in microseconds."""
+def _rr_point(params: dict) -> dict:
+    """One (model, N) RR cell of Figs. 7 and 8: the mean latency in
+    microseconds, and the IOhost worker contention in percent (``None``
+    for models without an IOhost worker pool)."""
     n = params["n_vms"]
-    _tb, workloads = rr_run(params["model"], n, run_ns=params["run_ns"])
-    return sum(w.mean_latency_us() for w in workloads) / n
+    tb, workloads = rr_run(params["model"], n, run_ns=params["run_ns"])
+    pool = getattr(tb.model, "pool", None)
+    return {"latency_us": sum(w.mean_latency_us() for w in workloads) / n,
+            "contention_pct": (None if pool is None
+                               else pool.contention_fraction() * 100.0)}
 
 
 def run_fig07(vm_counts: Sequence[int] = range(1, 8),
@@ -43,10 +50,9 @@ def run_fig07(vm_counts: Sequence[int] = range(1, 8),
               for model_name in (models if models is not None
                                  else FIG7_MODELS)
               for n in vm_counts]
-    values = sweep(points, _fig07_point, jobs=jobs,
-                   artifact="fig7", cache=cache)
-    return [SeriesPoint(p["model"], p["n_vms"], v)
-            for p, v in zip(points, values)]
+    cells = sweep(points, _rr_point, jobs=jobs, record="rr", cache=cache)
+    return [SeriesPoint(p["model"], p["n_vms"], cell["latency_us"])
+            for p, cell in zip(points, cells)]
 
 
 def format_fig07(points: List[SeriesPoint]) -> str:
@@ -60,26 +66,20 @@ def format_fig07(points: List[SeriesPoint]) -> str:
     return "\n".join(lines)
 
 
-def _fig08_point(params: dict) -> dict:
-    """One N of Fig. 8: optimum + vRIO runs, gap and contention."""
-    n, run_ns = params["n_vms"], params["run_ns"]
-    _opt_tb, opt = rr_run("optimum", n, run_ns=run_ns)
-    vrio_tb, vrio = rr_run("vrio", n, run_ns=run_ns)
-    gap = (sum(w.mean_latency_us() for w in vrio) / n
-           - sum(w.mean_latency_us() for w in opt) / n)
-    contention = vrio_tb.model.pool.contention_fraction()
-    return {"n_vms": n, "latency_gap_us": gap,
-            "contention_pct": contention * 100.0}
-
-
 def run_fig08(vm_counts: Sequence[int] = range(1, 8),
               run_ns: int = DEFAULT_RUN_NS,
               jobs: int = 1,
               cache: Optional[SweepCache] = None) -> List[dict]:
     """Fig. 8: vRIO-vs-optimum latency gap and IOhost worker contention."""
-    points = [{"n_vms": int(n), "run_ns": run_ns} for n in vm_counts]
-    return sweep(points, _fig08_point, jobs=jobs,
-                 artifact="fig8", cache=cache)
+    points = [{"model": model_name, "n_vms": int(n), "run_ns": run_ns}
+              for n in vm_counts
+              for model_name in ("optimum", "vrio")]  # simlint: disable=SIM501
+    cells = sweep(points, _rr_point, jobs=jobs, record="rr", cache=cache)
+    return [{"n_vms": point["n_vms"],
+             "latency_gap_us": vrio["latency_us"] - optimum["latency_us"],
+             "contention_pct": vrio["contention_pct"]}
+            for point, optimum, vrio
+            in zip(points[0::2], cells[0::2], cells[1::2])]
 
 
 def format_fig08(rows: List[dict]) -> str:
@@ -123,7 +123,7 @@ def run_tab04(run_ns: int = ms(400),
               for model_name in (models if models is not None
                                  else TAB4_MODELS)]
     pairs = sweep(points, _tab04_point, jobs=jobs,
-                  artifact="tab4", cache=cache)
+                  record="tab4", cache=cache)
     return {p["model"]: {float(q): v for q, v in per_model}
             for p, per_model in zip(points, pairs)}
 

@@ -9,14 +9,14 @@ scalability number.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..cluster import TestbedSpec, build_testbed
 from ..sim import ms
 from ..workloads import NetperfRR, NetperfStream
 from .runner import SweepCache, sweep
 
-__all__ = ["run_fig13a", "run_fig13b", "format_fig13",
+__all__ = ["run_fig13", "run_fig13a", "run_fig13b", "format_fig13",
            "run_fig13_util", "format_fig13_util"]
 
 WORKER_COUNTS = (1, 2, 4)
@@ -56,7 +56,7 @@ def run_fig13a(total_vms: Sequence[int] = (4, 8, 12, 16, 20, 24, 28),
     for p in points:
         p["model_numa"] = model_numa
     return sweep(points, _fig13a_point, jobs=jobs,
-                 artifact="fig13a", cache=cache)
+                 record="fig13a", cache=cache)
 
 
 def _fig13b_point(params: dict) -> dict:
@@ -79,7 +79,17 @@ def run_fig13b(total_vms: Sequence[int] = (4, 8, 12, 16, 20, 24, 28),
                cache: Optional[SweepCache] = None) -> List[dict]:
     """Fig. 13b: aggregate stream throughput vs total VMs, 1/2/4 sidecores."""
     return sweep(_fig13_points(total_vms, run_ns), _fig13b_point, jobs=jobs,
-                 artifact="fig13b", cache=cache)
+                 record="fig13b", cache=cache)
+
+
+def run_fig13(total_vms: Sequence[int] = (4, 8, 12, 16, 20, 24, 28),
+              run_ns: int = ms(40),
+              jobs: int = 1,
+              cache: Optional[SweepCache] = None
+              ) -> Tuple[List[dict], List[dict]]:
+    """Fig. 13: both halves, ``(run_fig13a rows, run_fig13b rows)``."""
+    return (run_fig13a(total_vms, run_ns, jobs=jobs, cache=cache),
+            run_fig13b(total_vms, run_ns, jobs=jobs, cache=cache))
 
 
 def run_fig13_util(total_vms: int = 8, workers: int = 2,

@@ -77,7 +77,7 @@ def run_tab03(jobs: int = 1,
               for model_name in (models if models is not None
                                  else MODEL_ORDER)]
     snapshots = sweep(points, _tab03_point, jobs=jobs,
-                      artifact="tab3", cache=cache)
+                      record="tab3", cache=cache)
     rows = {}
     for p, snapshot in zip(points, snapshots):
         snapshot["sum"] = sum(snapshot[key] for key in sorted(snapshot))

@@ -4,7 +4,9 @@ Figure 11 (equal cores), Figure 5 & 12 (macrobenchmarks).
 Sweep points are independent simulations dispatched through
 :func:`~repro.experiments.executor.sweep`; cross-point derived columns
 (the "relative to optimum" ratios) are computed after the merge so every
-point stays hermetic and cacheable.
+point stays hermetic and cacheable.  Figures that read the same runs share
+a run record: Fig. 11 replays Fig. 9's ``stream`` cells, and Fig. 5 the
+Apache half of Fig. 12's ``macro`` cells.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ FIG9_MODELS = filter_models(net=True, order="throughput")
 FIG5_MODELS = filter_models(net=True, order="tab")
 
 
-def _fig09_point(params: dict) -> float:
-    """One (model, N) cell of Fig. 9: aggregate stream Gbps."""
+def _stream_point(params: dict) -> float:
+    """One (model, N) stream cell of Figs. 9 and 11: aggregate Gbps."""
     _tb, workloads = stream_run(params["model"], params["n_vms"],
                                 run_ns=params["run_ns"])
     return sum(w.throughput_gbps() for w in workloads)
@@ -55,8 +57,8 @@ def run_fig09(vm_counts: Sequence[int] = range(1, 8),
               for model_name in (models if models is not None
                                  else FIG9_MODELS)
               for n in vm_counts]
-    values = sweep(points, _fig09_point, jobs=jobs,
-                   artifact="fig9", cache=cache)
+    values = sweep(points, _stream_point, jobs=jobs,
+                   record="stream", cache=cache)
     return [SeriesPoint(p["model"], p["n_vms"], v)
             for p, v in zip(points, values)]
 
@@ -109,7 +111,7 @@ def run_fig10(run_ns: int = DEFAULT_RUN_NS,
     points = [{"model": model_name, "run_ns": run_ns}
               for model_name in models]
     rows = sweep(points, _fig10_point, jobs=jobs,
-                 artifact="fig10", cache=cache)
+                 record="fig10", cache=cache)
     by_model = {row["model"]: row for row in rows}
     reference_row = by_model.get("optimum", rows[0])
     reference = reference_row["cycles_per_packet"]
@@ -129,13 +131,6 @@ def format_fig10(rows: List[dict]) -> str:
     return "\n".join(lines)
 
 
-def _fig11_point(params: dict) -> float:
-    """One config of Fig. 11: aggregate stream Gbps."""
-    _tb, workloads = stream_run(params["model"], params["n_vms"],
-                                run_ns=params["run_ns"])
-    return sum(w.throughput_gbps() for w in workloads)
-
-
 def run_fig11(run_ns: int = DEFAULT_RUN_NS,
               jobs: int = 1,
               cache: Optional[SweepCache] = None) -> List[dict]:
@@ -146,8 +141,8 @@ def run_fig11(run_ns: int = DEFAULT_RUN_NS,
                ("baseline", "baseline", 7)]
     points = [{"model": model_name, "n_vms": n, "run_ns": run_ns}
               for _label, model_name, n in configs]
-    totals = sweep(points, _fig11_point, jobs=jobs,
-                   artifact="fig11", cache=cache)
+    totals = sweep(points, _stream_point, jobs=jobs,
+                   record="stream", cache=cache)
     reference = totals[0]
     return [{"label": label, "throughput_gbps": total,
              "relative": total / reference - 1.0}
@@ -182,7 +177,7 @@ def run_fig05(vm_counts: Sequence[int] = range(1, 8),
                                  else FIG5_MODELS)
               for n in vm_counts]
     values = sweep(points, _macro_point, jobs=jobs,
-                   artifact="fig5", cache=cache)
+                   record="macro", cache=cache)
     return [SeriesPoint(p["model"], p["n_vms"], v)
             for p, v in zip(points, values)]
 
@@ -213,7 +208,7 @@ def run_fig12(vm_counts: Sequence[int] = range(1, 8),
                                  else FIG9_MODELS)
               for n in vm_counts]
     values = sweep(points, _macro_point, jobs=jobs,
-                   artifact="fig12", cache=cache)
+                   record="macro", cache=cache)
     result: Dict[str, List[SeriesPoint]] = {b: [] for b in benchmarks}
     for p, v in zip(points, values):
         result[p["benchmark"]].append(SeriesPoint(p["model"], p["n_vms"], v))

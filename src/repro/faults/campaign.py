@@ -452,7 +452,7 @@ def run_campaigns(names: List[str], seed: int = 0,
             raise KeyError(f"unknown campaign {name!r}; known: "
                            f"{', '.join(campaign_names())}")
     points = [{"campaign": name, "seed": seed} for name in names]
-    return sweep(points, run_campaign_point, jobs=jobs, artifact="faults",
+    return sweep(points, run_campaign_point, jobs=jobs, record="faults",
                  cache=cache)
 
 

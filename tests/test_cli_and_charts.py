@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.analysis.charts import ascii_chart
-from repro.cli import ARTIFACTS, main
+from repro.cli import main
+from repro.experiments.registry import ARTIFACTS
 
 
 def test_chart_renders_all_series():
@@ -105,21 +106,14 @@ def test_cli_run_rejects_models_on_fixed_cast_artifact(capsys):
 
 
 def test_model_filterable_artifacts_accept_the_kwarg():
-    """Every artifact advertised as filterable really threads models=
-    through to its runner (a wrong entry would TypeError at dispatch)."""
+    """An artifact is registered as filterable exactly when its runner
+    takes models= (a wrong flag would TypeError at dispatch or silently
+    drop the filter)."""
     import inspect
 
-    from repro import experiments as ex
-    from repro.cli import MODEL_FILTERABLE
-
-    runners = {"tab3": ex.run_tab03, "fig5": ex.run_fig05,
-               "fig7": ex.run_fig07, "tab4": ex.run_tab04,
-               "fig9": ex.run_fig09, "fig10": ex.run_fig10,
-               "fig12": ex.run_fig12, "fig14": ex.run_fig14,
-               "fig14ssd": ex.run_fig14_ssd}
-    assert set(runners) == set(MODEL_FILTERABLE)
-    for name, runner in runners.items():
-        assert "models" in inspect.signature(runner).parameters, name
+    for name, artifact in ARTIFACTS.items():
+        takes_models = "models" in inspect.signature(artifact.run).parameters
+        assert artifact.model_filterable == takes_models, name
 
 
 def test_cli_costs(capsys):
@@ -216,6 +210,13 @@ def test_cli_no_command_shows_help(capsys):
 
 
 def test_every_artifact_has_description():
-    for name, (description, runner) in ARTIFACTS.items():
-        assert description
-        assert callable(runner)
+    """Every registry entry has a title, a runner and a formatter, and its
+    full and quick parameters bind to the runner's signature."""
+    import inspect
+
+    for name, artifact in ARTIFACTS.items():
+        assert artifact.name == name and artifact.title
+        assert callable(artifact.run) and callable(artifact.format)
+        signature = inspect.signature(artifact.run)
+        for quick in (False, True):
+            signature.bind(**artifact.params(quick), jobs=1, cache=None)

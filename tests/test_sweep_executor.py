@@ -51,11 +51,12 @@ def test_cost_fingerprint_tracks_fields():
     assert base != cost_fingerprint(DEFAULT_COSTS.copy(link_gbps=40.0))
 
 
-def test_point_digest_separates_artifacts_and_params():
-    k1 = point_key("fig7", {"n": 1}, None)
-    assert point_digest(k1) == point_digest(point_key("fig7", {"n": 1}, None))
-    assert point_digest(k1) != point_digest(point_key("fig9", {"n": 1}, None))
-    assert point_digest(k1) != point_digest(point_key("fig7", {"n": 2}, None))
+def test_point_digest_separates_records_and_params():
+    k1 = point_key("rr", {"n": 1}, None)
+    assert point_digest(k1) == point_digest(point_key("rr", {"n": 1}, None))
+    assert point_digest(k1) != point_digest(
+        point_key("stream", {"n": 1}, None))
+    assert point_digest(k1) != point_digest(point_key("rr", {"n": 2}, None))
     assert k1["code"] == code_version()
 
 
@@ -106,11 +107,11 @@ def _logged_square(params):
 def test_cache_miss_then_hit(tmp_path):
     cache = SweepCache(tmp_path / "cache")
     points = [{"n": n} for n in (1, 2, 3)]
-    first = sweep(points, _square, artifact="t", cache=cache)
+    first = sweep(points, _square, record="t", cache=cache)
     assert cache.stats == CacheStats(hits=0, misses=3, corrupted=0, stores=3)
 
     cache2 = SweepCache(tmp_path / "cache")
-    second = sweep(points, _square, artifact="t", cache=cache2)
+    second = sweep(points, _square, record="t", cache=cache2)
     assert cache2.stats == CacheStats(hits=3, misses=0, corrupted=0, stores=0)
     assert canonical_json(first) == canonical_json(second)
 
@@ -119,49 +120,50 @@ def test_cache_skips_recompute_on_hit(tmp_path):
     cache = SweepCache(tmp_path / "cache")
     points = [{"n": 7}]
     CALL_LOG.clear()
-    sweep(points, _logged_square, artifact="t", cache=cache)
-    sweep(points, _logged_square, artifact="t", cache=cache)
+    sweep(points, _logged_square, record="t", cache=cache)
+    sweep(points, _logged_square, record="t", cache=cache)
     assert CALL_LOG == [7]  # second sweep never called the point function
 
 
 def test_cost_model_change_misses(tmp_path):
     cache = SweepCache(tmp_path / "cache")
     points = [{"n": 5}]
-    sweep(points, _square, artifact="t", cache=cache, costs=DEFAULT_COSTS)
+    sweep(points, _square, record="t", cache=cache, costs=DEFAULT_COSTS)
     assert cache.stats.stores == 1
-    # Same artifact + params, recalibrated cost model: must not replay.
+    # Same record + params, recalibrated cost model: must not replay.
     tweaked = DEFAULT_COSTS.copy(worker_per_byte_cycles=9.99)
-    sweep(points, _square, artifact="t", cache=cache, costs=tweaked)
+    sweep(points, _square, record="t", cache=cache, costs=tweaked)
     assert cache.stats.misses == 2 and cache.stats.hits == 0
     assert cache.stats.stores == 2
 
 
-def test_artifact_namespace_misses(tmp_path):
+def test_record_namespace_misses(tmp_path):
+    """Two record names over the same params never share an entry."""
     cache = SweepCache(tmp_path / "cache")
     points = [{"n": 5}]
-    sweep(points, _square, artifact="a", cache=cache)
-    sweep(points, _square, artifact="b", cache=cache)
+    sweep(points, _square, record="a", cache=cache)
+    sweep(points, _square, record="b", cache=cache)
     assert cache.stats.hits == 0 and cache.stats.misses == 2
 
 
 def test_corrupted_entry_recomputes(tmp_path):
     cache = SweepCache(tmp_path / "cache")
     points = [{"n": 4}]
-    expect = sweep(points, _square, artifact="t", cache=cache)
+    expect = sweep(points, _square, record="t", cache=cache)
 
     # Truncate the entry mid-JSON, as a crashed writer might have.
     key = point_key("t", points[0], None)
     path = cache.path_for(point_digest(key))
-    path.write_text('{"key": {"art')
+    path.write_text('{"key": {"rec')
 
     cache2 = SweepCache(tmp_path / "cache")
-    got = sweep(points, _square, artifact="t", cache=cache2)
+    got = sweep(points, _square, record="t", cache=cache2)
     assert got == expect
     assert cache2.stats.corrupted == 1
     assert cache2.stats.stores == 1  # rewrote a good entry
     # And the rewritten entry is loadable again.
     cache3 = SweepCache(tmp_path / "cache")
-    assert sweep(points, _square, artifact="t", cache=cache3) == expect
+    assert sweep(points, _square, record="t", cache=cache3) == expect
     assert cache3.stats.hits == 1
 
 
@@ -170,13 +172,13 @@ def test_key_mismatch_entry_recomputes(tmp_path):
     collision or a hand-edited file) is discarded, not trusted."""
     cache = SweepCache(tmp_path / "cache")
     points = [{"n": 4}]
-    sweep(points, _square, artifact="t", cache=cache)
+    sweep(points, _square, record="t", cache=cache)
     key = point_key("t", points[0], None)
     path = cache.path_for(point_digest(key))
-    path.write_text(json.dumps({"key": {"artifact": "other"},
+    path.write_text(json.dumps({"key": {"record": "other"},
                                 "result": {"sq": -1}}))
     cache2 = SweepCache(tmp_path / "cache")
-    got = sweep(points, _square, artifact="t", cache=cache2)
+    got = sweep(points, _square, record="t", cache=cache2)
     assert got[0]["sq"] == 16
     assert cache2.stats.corrupted == 1
 
@@ -185,8 +187,8 @@ def test_none_result_cached_distinctly(tmp_path):
     """A point function legitimately returning None is a cache hit, not a
     perpetual miss."""
     cache = SweepCache(tmp_path / "cache")
-    assert sweep([{}], _none_point, artifact="t", cache=cache) == [None]
-    assert sweep([{}], _none_point, artifact="t", cache=cache) == [None]
+    assert sweep([{}], _none_point, record="t", cache=cache) == [None]
+    assert sweep([{}], _none_point, record="t", cache=cache) == [None]
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
@@ -195,8 +197,13 @@ def _none_point(params):
 
 
 def test_cache_disabled_by_default():
-    assert sweep([{"n": 3}], _square, artifact="t") == \
+    assert sweep([{"n": 3}], _square, record="t") == \
         [{"n": 3, "sq": 9}]
+
+
+def test_record_is_a_required_keyword():
+    with pytest.raises(TypeError):
+        sweep([{"n": 3}], _square)
 
 
 # ---------------------------------------------------------------------------
