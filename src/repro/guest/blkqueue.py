@@ -43,7 +43,7 @@ class GuestBlockScheduler:
         return range(request.sector, request.sector + request.sectors)
 
     def _conflicts(self, request: BlockRequest) -> bool:
-        return any(s in self._outstanding for s in self._sectors_of(request))
+        return not self._outstanding.isdisjoint(self._sectors_of(request))
 
     def submit(self, request: BlockRequest) -> Event:
         """Queue a request; returns the completion event."""
@@ -65,16 +65,14 @@ class GuestBlockScheduler:
         return len(self._pending)
 
     def _dispatch(self, request: BlockRequest) -> None:
-        for s in self._sectors_of(request):
-            self._outstanding.add(s)
+        self._outstanding.update(self._sectors_of(request))
         self.submitted.add()
         driver_done = self._driver_submit(request)
         driver_done.add_callback(
             lambda _event, req=request: self._on_complete(req))
 
     def _on_complete(self, request: BlockRequest) -> None:
-        for s in self._sectors_of(request):
-            self._outstanding.discard(s)
+        self._outstanding.difference_update(self._sectors_of(request))
         done = self._completions.pop(request.request_id)
         done.succeed(request)
         # Admit pending requests that no longer conflict, preserving order:

@@ -15,7 +15,8 @@ open/read/close plus a log append, reported in Mbps of file data read.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from array import array
+from typing import Dict, Optional, Tuple
 
 from ..guest.blkqueue import GuestBlockScheduler
 from ..guest.scheduler import GuestScheduler
@@ -25,6 +26,49 @@ from ..iomodels.costs import CostModel, DEFAULT_COSTS
 from ..sim import Environment
 
 __all__ = ["FilebenchRandomIO", "WebserverPersonality"]
+
+# Fileset layouts by (stream state before the build, disk_bytes, count).
+# One consolidation testbed holds 10 VMs, so 32 entries keep every layout
+# of a Fig. 15/16 run; the oldest entry is evicted first.
+_FILESET_MEMO_ENTRIES = 32
+_filesets: Dict[tuple, Tuple[memoryview, memoryview, tuple]] = {}
+
+
+def _fileset(rng: random.Random, disk_bytes: int,
+             count: int) -> Tuple[memoryview, memoryview]:
+    """Lay out ``count`` files on the disk: read-only (sectors, sizes).
+
+    Sizes are lognormal with the paper's 28 KB mean, truncated to
+    [1 KB, 256 KB], rounded up to whole sectors; files wrap onto the
+    disk.  The layout is a pure function of ``rng``'s state, so it is
+    memoized per process: a hit moves ``rng`` to the state a fresh build
+    would have left it in, so every later draw is unchanged.
+    """
+    key = (rng.getstate(), disk_bytes, count)
+    hit = _filesets.get(key)
+    if hit is not None:
+        sectors, sizes, after = hit
+        rng.setstate(after)
+        return sectors, sizes
+    mu, sigma = 9.8, 1.0  # lognormal with mean ~ 28 KB
+    total_sectors = disk_bytes // SECTOR_BYTES
+    starts, lengths = array("q"), array("q")
+    sector = 0
+    for _ in range(count):
+        size = int(rng.lognormvariate(mu, sigma))
+        size = max(1024, min(size, 256 * 1024))
+        n = -(-size // SECTOR_BYTES)
+        if sector + n >= total_sectors:
+            sector = 0
+        starts.append(sector)
+        lengths.append(n * SECTOR_BYTES)
+        sector += n
+    sectors = memoryview(starts).toreadonly()
+    sizes = memoryview(lengths).toreadonly()
+    _filesets[key] = (sectors, sizes, rng.getstate())
+    if len(_filesets) > _FILESET_MEMO_ENTRIES:
+        del _filesets[next(iter(_filesets))]
+    return sectors, sizes
 
 
 class FilebenchRandomIO:
@@ -49,16 +93,15 @@ class FilebenchRandomIO:
         self._measure_start = None
         self.scheduler = scheduler or GuestScheduler(env, vm.vcpu)
         self.block_sched = GuestBlockScheduler(env, block_handle.submit)
-        self._sectors = disk_bytes // SECTOR_BYTES
         self._io_sectors = max(1, io_bytes // SECTOR_BYTES)
+        self._slots = disk_bytes // SECTOR_BYTES // self._io_sectors
         threads = (["read"] * readers) + (["write"] * writers)
         for i, op in enumerate(threads):
             env.process(self._thread(f"t{i}", op),
                         name=f"filebench:{vm.name}:t{i}")
 
     def _random_request(self, op: str) -> BlockRequest:
-        slots = self._sectors // self._io_sectors
-        sector = self.rng.randrange(slots) * self._io_sectors
+        sector = self.rng.randrange(self._slots) * self._io_sectors
         return BlockRequest(op=op, sector=sector, size_bytes=self.io_bytes)
 
     def _thread(self, tid: str, op: str):
@@ -115,31 +158,12 @@ class WebserverPersonality:
         self._measure_start = None
         self.scheduler = scheduler or GuestScheduler(env, vm.vcpu)
         self.block_sched = GuestBlockScheduler(env, block_handle.submit)
-        self._file_sectors = self._build_fileset(disk_bytes)
-        self._log_sector = self._file_sectors[-1][0]
+        self._file_sectors, self._file_sizes = _fileset(
+            rng, disk_bytes, self.FILE_COUNT)
+        self._log_sector = self._file_sectors[-1]
         for i in range(self.THREADS):
             env.process(self._thread(f"w{i}"),
                         name=f"webserver:{vm.name}:{i}")
-
-    def _build_fileset(self, disk_bytes: int) -> List[tuple]:
-        """Lay out (sector, size) for the fileset, wrapped onto the disk.
-
-        Sizes are lognormal with the paper's 28 KB mean, truncated to
-        [1 KB, 256 KB], rounded up to whole sectors.
-        """
-        files = []
-        sector = 0
-        total_sectors = disk_bytes // SECTOR_BYTES
-        mu, sigma = 9.8, 1.0  # lognormal with mean ~ 28 KB
-        for _ in range(self.FILE_COUNT):
-            size = int(self.rng.lognormvariate(mu, sigma))
-            size = max(1024, min(size, 256 * 1024))
-            sectors = -(-size // SECTOR_BYTES)
-            if sector + sectors >= total_sectors:
-                sector = 0
-            files.append((sector, sectors * SECTOR_BYTES))
-            sector += sectors
-        return files
 
     def _thread(self, tid: str):
         env = self.env
@@ -150,7 +174,9 @@ class WebserverPersonality:
             # open + read + close: app work then one whole-file read.
             op_cycles = int(base * self.rng.uniform(0.9, 1.1))
             yield self.scheduler.run((self.vm.name, tid), op_cycles)
-            sector, size = self.rng.choice(self._file_sectors)
+            # One _randbelow(n) draw, exactly as rng.choice would make.
+            i = self.rng.randrange(len(self._file_sizes))
+            sector, size = self._file_sectors[i], self._file_sizes[i]
             yield self.block_sched.submit(
                 BlockRequest(op="read", sector=sector, size_bytes=size))
             ops += 1

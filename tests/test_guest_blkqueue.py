@@ -86,13 +86,33 @@ def test_overlapping_ranges_serialize():
     def issue(env, sector, size, tag):
         yield sched.submit(BlockRequest(op="write", sector=sector,
                                         size_bytes=size))
-        finish.append(tag)
+        finish.append((tag, env.now))
 
-    env.process(issue(env, 0, 4096, "big"))      # sectors 0..7
-    env.process(issue(env, 7 * 512, 512, "tail"))  # sector 7 overlaps
+    env.process(issue(env, 0, 4096, "big"))  # sectors 0..7
+    env.process(issue(env, 7, 512, "tail"))  # sector 7 overlaps
     env.run()
-    assert finish == ["big", "tail"]
+    assert finish == [("big", 1000), ("tail", 2000)]
+    assert sched.held_back.value == 1
     assert driver.max_overlap_violations == 0
+
+
+def test_adjacent_ranges_proceed_concurrently():
+    env = Environment()
+    driver = FakeDriver(env)
+    sched = GuestBlockScheduler(env, driver.submit)
+    finish = []
+
+    def issue(env, sector, size, tag):
+        yield sched.submit(BlockRequest(op="write", sector=sector,
+                                        size_bytes=size))
+        finish.append((tag, env.now))
+
+    env.process(issue(env, 0, 4096, "big"))  # sectors 0..7
+    env.process(issue(env, 8, 512, "next"))  # sector 8 is adjacent
+    env.run()
+    assert finish == [("big", 1000), ("next", 1000)]
+    assert sched.held_back.value == 0
+    assert sched.outstanding_sectors == set()
 
 
 def test_fifo_admission_no_starvation():

@@ -17,6 +17,7 @@ from repro.experiments.executor import (
     CacheStats, SweepCache, canonical_json, code_version, cost_fingerprint,
     point_digest, point_key, resolve_jobs, sweep,
 )
+from repro.experiments.consolidation_experiments import run_fig16a
 from repro.experiments.energy_experiments import run_energy
 from repro.experiments.latency_experiments import run_fig07
 from repro.experiments.scalability_experiments import run_fig13b
@@ -61,7 +62,7 @@ def test_point_digest_separates_records_and_params():
 
 
 # ---------------------------------------------------------------------------
-# serial vs parallel equivalence (bytes-equal) over three artifacts
+# serial vs parallel equivalence (bytes-equal) over four artifacts
 # ---------------------------------------------------------------------------
 
 ARTIFACT_RUNS = {
@@ -69,6 +70,10 @@ ARTIFACT_RUNS = {
     "tab3": lambda jobs: run_tab03(jobs=jobs),
     "energy": lambda jobs: run_energy(vm_counts=(1,), run_ns=ms(4),
                                       jobs=jobs),
+    # Webserver filesets are memoized per process: the serial run and
+    # each pool worker keep their own memo and hit it a different number
+    # of times.
+    "fig16a": lambda jobs: run_fig16a(run_ns=ms(4), jobs=jobs),
 }
 
 

@@ -1,8 +1,11 @@
 """Unit tests for the benchmark workloads."""
 
+import random
+
 import pytest
 
 from repro.cluster import build_simple_setup
+from repro.hw.storage import SECTOR_BYTES
 from repro.sim import ms
 from repro.workloads import (
     ApacheBench,
@@ -13,6 +16,7 @@ from repro.workloads import (
     TransactionalWorkload,
     WebserverPersonality,
 )
+from repro.workloads import filebench
 
 
 def test_netperf_rr_measures_latency():
@@ -148,8 +152,84 @@ def test_webserver_fileset_statistics():
     w = WebserverPersonality(tb.env, tb.vms[0], handle, tb.rng.stream("w"),
                              tb.costs)
     assert len(w._file_sectors) == WebserverPersonality.FILE_COUNT
-    mean = sum(size for _s, size in w._file_sectors) / len(w._file_sectors)
+    assert len(w._file_sizes) == WebserverPersonality.FILE_COUNT
+    mean = sum(w._file_sizes) / len(w._file_sizes)
     assert 20 * 1024 < mean < 40 * 1024
+
+
+def _reference_fileset(rng, disk_bytes, count):
+    """The original per-file lognormvariate layout loop, kept verbatim."""
+    files = []
+    sector = 0
+    total_sectors = disk_bytes // SECTOR_BYTES
+    mu, sigma = 9.8, 1.0  # lognormal with mean ~ 28 KB
+    for _ in range(count):
+        size = int(rng.lognormvariate(mu, sigma))
+        size = max(1024, min(size, 256 * 1024))
+        sectors = -(-size // SECTOR_BYTES)
+        if sector + sectors >= total_sectors:
+            sector = 0
+        files.append((sector, sectors * SECTOR_BYTES))
+        sector += sectors
+    return files
+
+
+@pytest.fixture
+def empty_fileset_memo(monkeypatch):
+    """Run the test against an empty, private fileset memo."""
+    monkeypatch.setattr(filebench, "_filesets", {})
+
+
+def _assert_matches_reference(w, seed):
+    rng = random.Random(seed)
+    files = _reference_fileset(rng, 1 << 30, WebserverPersonality.FILE_COUNT)
+    assert list(zip(w._file_sectors, w._file_sizes)) == files
+    assert w.rng.getstate() == rng.getstate()
+    assert w._log_sector == files[-1][0]
+
+
+def test_webserver_fileset_matches_reference_on_miss_hit_and_rebuild(
+        empty_fileset_memo, monkeypatch):
+    """Memoized or not, the layout and the stream it leaves behind are
+    draw-for-draw those of the original lognormvariate loop."""
+    monkeypatch.setattr(filebench, "_FILESET_MEMO_ENTRIES", 1)
+    tb = build_simple_setup("elvis", 1, with_clients=False)
+    handle = tb.attach_ramdisk(tb.vms[0])
+
+    def webserver(seed):
+        return WebserverPersonality(tb.env, tb.vms[0], handle,
+                                    random.Random(seed), tb.costs)
+
+    miss = webserver("0/webserver-0")
+    _assert_matches_reference(miss, "0/webserver-0")
+    hit = webserver("0/webserver-0")
+    assert hit._file_sectors is miss._file_sectors
+    _assert_matches_reference(hit, "0/webserver-0")
+    webserver("0/webserver-1")  # evicts webserver-0's layout
+    rebuilt = webserver("0/webserver-0")
+    assert rebuilt._file_sectors is not miss._file_sectors
+    _assert_matches_reference(rebuilt, "0/webserver-0")
+
+
+def test_fileset_memo_shares_read_only_buffers_within_its_bound(
+        empty_fileset_memo):
+    first = filebench._fileset(random.Random(0), 1 << 20, 64)
+    again = filebench._fileset(random.Random(0), 1 << 20, 64)
+    assert again[0] is first[0] and again[1] is first[1]
+    for view in first:
+        assert view.readonly
+        with pytest.raises(TypeError):
+            view[0] = 1
+    # The parameters are part of the key.
+    assert len(filebench._fileset(random.Random(0), 1 << 20, 32)[0]) == 32
+    bound = filebench._FILESET_MEMO_ENTRIES
+    assert bound >= 10  # one consolidation testbed's VMs
+    for seed in range(1, 2 * bound):
+        filebench._fileset(random.Random(seed), 1 << 20, 64)
+        assert len(filebench._filesets) <= bound
+    # Oldest first: seed 0's layout was evicted long ago.
+    assert filebench._fileset(random.Random(0), 1 << 20, 64)[0] \
+        is not first[0]
 
 
 def test_webserver_appends_to_log():
