@@ -40,6 +40,7 @@ from ..iomodels.base import ExternalEndpoint
 from ..iomodels.costs import CostModel
 from ..iomodels.registry import get_model, model_names
 from ..hw.storage import StorageDevice, make_ramdisk
+from ..net.frame import FAKE_TCPIP_HEADER_BYTES, VRIO_HEADER_BYTES
 from ..sim import Environment, RngRegistry
 from ..telemetry import bind_testbed, register_storage_device
 from .host import IoHostMachine, LoadGenHost, VmHostMachine
@@ -240,6 +241,14 @@ def build_testbed(spec: TestbedSpec) -> Testbed:
         raise ValueError("need positive host and VM counts")
     if spec.sidecores <= 0:
         raise ValueError(f"need at least one sidecore, got {spec.sidecores}")
+    # Every TSO fragment on the vRIO channel carries both headers inside
+    # the MTU, so it needs at least one payload byte beyond them.
+    min_channel_mtu = VRIO_HEADER_BYTES + FAKE_TCPIP_HEADER_BYTES + 1
+    if spec.model.startswith("vrio") and spec.channel_mtu < min_channel_mtu:
+        raise ValueError(
+            f"channel MTU must be at least {min_channel_mtu} bytes (the "
+            f"vRIO and fake TCP/IP headers plus one payload byte), got "
+            f"{spec.channel_mtu}")
     if spec.topology == "racks":
         if spec.n_racks <= 0 or spec.n_spines <= 0:
             raise ValueError(

@@ -171,8 +171,10 @@ class Core:
                         util.account(self.poll_dispatch_ns, useful=False)
             cycles, useful, tag, done = (high or normal).popleft()
             self.busy = True
-            # ns_for(cycles), inlined with the identical arithmetic.
-            duration = max(0, int(round(cycles / ghz)))
+            # ns_for(cycles), inlined: execute() rejects negative cycles
+            # and ghz > 0, so round() of the float quotient is already a
+            # non-negative int and ns_for's max(0, int(...)) is a no-op.
+            duration = round(cycles / ghz)
             if duration:
                 yield Timeout(env, duration)
             util.account(duration, useful=useful)

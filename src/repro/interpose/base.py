@@ -48,6 +48,8 @@ class InterposerChain:
 
     def cycles(self, size_bytes: int, kind: str = "data") -> int:
         """Total chain cycles for one message."""
+        if not self.interposers:
+            return 0
         return sum(i.cycles(size_bytes, kind) for i in self.interposers)
 
     def admit(self, message) -> bool:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional
 from ..hw.cpu import Core
 from ..hw.nic import NicFunction
 from ..net.frame import ETHERNET_HEADER_BYTES, EthernetFrame, MacAddress, STANDARD_MTU
-from ..net.segmentation import segment_sizes
+from ..net.segmentation import fragment_count
 from ..sim import Counter, Environment
 
 if TYPE_CHECKING:
@@ -91,7 +91,7 @@ def message_wire_bytes(size_bytes: int, mtu: int = STANDARD_MTU) -> int:
     The message travels as one simulated frame, but its wire time must
     account for the per-MTU-fragment headers real hardware emits.
     """
-    fragments = len(segment_sizes(size_bytes, mtu))
+    fragments = fragment_count(size_bytes, mtu)
     return size_bytes + (fragments - 1) * ETHERNET_HEADER_BYTES
 
 

@@ -26,7 +26,7 @@ from ...net.frame import (
     JUMBO_MTU_VRIO,
     VRIO_HEADER_BYTES,
 )
-from ...net.segmentation import TSO_MAX_BYTES, segment_sizes
+from ...net.segmentation import TSO_MAX_BYTES, fragment_count, segment_sizes
 from ...sim import Counter
 
 __all__ = [
@@ -62,8 +62,8 @@ def chunk_sizes(message_bytes: int) -> List[int]:
 
 def chunk_fragments(chunk_bytes: int, mtu: int = JUMBO_MTU_VRIO) -> int:
     """TSO fragments the NIC will emit for one chunk (incl. headers)."""
-    return len(segment_sizes(chunk_bytes + VRIO_HEADER_BYTES
-                             + FAKE_TCPIP_HEADER_BYTES, mtu))
+    return fragment_count(chunk_bytes + VRIO_HEADER_BYTES
+                          + FAKE_TCPIP_HEADER_BYTES, mtu)
 
 
 def chunk_wire_payload_bytes(chunk_bytes: int,

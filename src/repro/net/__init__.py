@@ -17,6 +17,7 @@ from .segmentation import (
     ReassemblyBuffer,
     ReassemblyError,
     Segment,
+    fragment_count,
     pages_for_fragment,
     reassembly_is_zero_copy,
     segment_sizes,
@@ -27,6 +28,7 @@ __all__ = [
     "ETHERNET_HEADER_BYTES", "VRIO_HEADER_BYTES", "FAKE_TCPIP_HEADER_BYTES",
     "STANDARD_MTU", "JUMBO_MTU_VRIO", "JUMBO_MTU_MAX",
     "Segment", "ReassemblyBuffer", "ReassemblyError",
-    "segment_sizes", "pages_for_fragment", "reassembly_is_zero_copy",
+    "segment_sizes", "fragment_count", "pages_for_fragment",
+    "reassembly_is_zero_copy",
     "TSO_MAX_BYTES", "SKB_MAX_FRAGMENTS", "PAGE_BYTES",
 ]

@@ -28,6 +28,7 @@ __all__ = [
     "SKB_MAX_FRAGMENTS",
     "PAGE_BYTES",
     "segment_sizes",
+    "fragment_count",
     "pages_for_fragment",
     "reassembly_is_zero_copy",
     "Segment",
@@ -57,6 +58,13 @@ def segment_sizes(message_bytes: int, mtu: int) -> List[int]:
     return sizes
 
 
+def fragment_count(message_bytes: int, mtu: int) -> int:
+    """``len(segment_sizes(message_bytes, mtu))`` without the list."""
+    if message_bytes <= 0 or mtu <= 0:
+        segment_sizes(message_bytes, mtu)  # raises its ValueError
+    return -(-message_bytes // mtu)
+
+
 def pages_for_fragment(fragment_bytes: int, header_bytes: int = 0) -> int:
     """Number of 4 KB pages needed to hold a fragment plus its headers."""
     total = fragment_bytes + header_bytes
@@ -73,8 +81,14 @@ def reassembly_is_zero_copy(message_bytes: int, mtu: int,
     """
     if message_bytes > TSO_MAX_BYTES:
         return False
-    pages = sum(pages_for_fragment(size, header_bytes)
-                for size in segment_sizes(message_bytes, mtu))
+    if message_bytes <= 0 or mtu <= 0:
+        segment_sizes(message_bytes, mtu)  # raises its ValueError
+    # The page sum over segment_sizes(), in closed form: ``full``
+    # MTU-sized fragments plus one remainder fragment.
+    full, rest = divmod(message_bytes, mtu)
+    pages = full * pages_for_fragment(mtu, header_bytes)
+    if rest:
+        pages += pages_for_fragment(rest, header_bytes)
     return pages <= SKB_MAX_FRAGMENTS
 
 

@@ -259,7 +259,13 @@ class Process(Event):
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: str = "") -> None:
-        super().__init__(env)
+        # Inlined Event.__init__, as in Timeout: one process per spawn.
+        self.env = env
+        self._cb0 = None
+        self._cbs = None
+        self._value = None
+        self._state = _PENDING
+        self._ok = True
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None

@@ -64,7 +64,8 @@ class Store:
         event = Event(self.env)
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_putter()
+            if self._putters:
+                self._admit_putter()
         else:
             self._getters.append(event)
         return event
@@ -83,7 +84,8 @@ class Store:
             if getter._state != _PENDING:
                 continue
             getter.succeed(self._items.popleft())
-            self._admit_putter()
+            if self._putters:
+                self._admit_putter()
 
     def _admit_putter(self) -> None:
         while self._putters:

@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
+    FAKE_TCPIP_HEADER_BYTES,
     JUMBO_MTU_MAX,
     JUMBO_MTU_VRIO,
     SKB_MAX_FRAGMENTS,
     STANDARD_MTU,
     TSO_MAX_BYTES,
+    VRIO_HEADER_BYTES,
     ReassemblyBuffer,
     ReassemblyError,
     Segment,
+    fragment_count,
     pages_for_fragment,
     reassembly_is_zero_copy,
     segment_sizes,
@@ -79,6 +82,80 @@ def test_all_tso_messages_zero_copy_at_paper_mtu(message):
     """The paper chose MTU=8100 precisely so EVERY <=64KB message is
     zero-copy reassemblable."""
     assert reassembly_is_zero_copy(message, JUMBO_MTU_VRIO)
+
+
+# -- closed forms against their list-based definitions ------------------
+
+# The channel MTU, its per-fragment payload budget once the vRIO and fake
+# TCP/IP headers are inside it (8044), the standard and maximum jumbo
+# MTUs, and the degenerate one-byte MTU.
+CHANNEL_HEADER_BYTES = VRIO_HEADER_BYTES + FAKE_TCPIP_HEADER_BYTES
+EQUIVALENCE_MTUS = (1, STANDARD_MTU, JUMBO_MTU_VRIO - CHANNEL_HEADER_BYTES,
+                    JUMBO_MTU_VRIO, JUMBO_MTU_MAX)
+EQUIVALENCE_HEADER_BYTES = (0, CHANNEL_HEADER_BYTES)
+EQUIVALENCE_LIMIT = 3 * TSO_MAX_BYTES
+
+
+def boundary_sizes():
+    """Every size in 1..3×TSO_MAX_BYTES within one byte of a multiple of
+    an equivalence MTU above 1 or of TSO_MAX_BYTES.  Every byte count is
+    a multiple of the one-byte MTU, which is checked on this grid too."""
+    steps = [mtu for mtu in EQUIVALENCE_MTUS if mtu > 1] + [TSO_MAX_BYTES]
+    sizes = {1, 2}
+    for step in steps:
+        for multiple in range(step, EQUIVALENCE_LIMIT + 1, step):
+            sizes.update((multiple - 1, multiple, multiple + 1))
+    return sorted(size for size in sizes if 1 <= size <= EQUIVALENCE_LIMIT)
+
+
+BOUNDARY_SIZES = boundary_sizes()
+
+
+def zero_copy_by_page_sum(message_bytes, mtu, header_bytes):
+    """reassembly_is_zero_copy's definition: the pages of every fragment
+    segment_sizes() makes, summed against the SKB limit."""
+    if message_bytes > TSO_MAX_BYTES:
+        return False
+    pages = sum(pages_for_fragment(size, header_bytes)
+                for size in segment_sizes(message_bytes, mtu))
+    return pages <= SKB_MAX_FRAGMENTS
+
+
+@pytest.mark.parametrize("mtu", EQUIVALENCE_MTUS)
+def test_fragment_count_is_len_of_segment_sizes(mtu):
+    for size in BOUNDARY_SIZES:
+        assert fragment_count(size, mtu) == len(segment_sizes(size, mtu)), (
+            size, mtu)
+
+
+@pytest.mark.parametrize("header_bytes", EQUIVALENCE_HEADER_BYTES)
+@pytest.mark.parametrize("mtu", EQUIVALENCE_MTUS)
+def test_zero_copy_closed_form_matches_page_sum(mtu, header_bytes):
+    for size in BOUNDARY_SIZES:
+        assert (reassembly_is_zero_copy(size, mtu, header_bytes)
+                == zero_copy_by_page_sum(size, mtu, header_bytes)), (
+            size, mtu, header_bytes)
+
+
+@given(st.integers(min_value=1, max_value=EQUIVALENCE_LIMIT),
+       st.integers(min_value=1, max_value=JUMBO_MTU_MAX),
+       st.sampled_from(EQUIVALENCE_HEADER_BYTES))
+@settings(max_examples=200)
+def test_closed_forms_match_lists_property(message, mtu, header_bytes):
+    assert fragment_count(message, mtu) == len(segment_sizes(message, mtu))
+    assert (reassembly_is_zero_copy(message, mtu, header_bytes)
+            == zero_copy_by_page_sum(message, mtu, header_bytes))
+
+
+@pytest.mark.parametrize("message, mtu",
+                         [(0, 1500), (-5, 1500), (100, 0), (100, -5), (0, 0)])
+def test_closed_forms_reject_nonpositive_like_segment_sizes(message, mtu):
+    with pytest.raises(ValueError) as expected:
+        segment_sizes(message, mtu)
+    for closed_form in (fragment_count, reassembly_is_zero_copy):
+        with pytest.raises(ValueError) as raised:
+            closed_form(message, mtu)
+        assert str(raised.value) == str(expected.value)
 
 
 def make_segments(message_id, message_bytes, mtu):

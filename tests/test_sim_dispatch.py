@@ -10,25 +10,33 @@ give directly:
   flight recorder's dump, so a kernel change that reaches the same
   metrics through different items (a callback where an event was, a
   named function where a lambda was) must still fail here.
-* **Kernel cost.** Python-level calls into ``repro/sim`` per dispatched
-  item on a small fast-loop run, counted with ``sys.setprofile``.  The
-  count is deterministic, so a change that adds a call to the per-wake
-  path fails tier-1 without any wall-clock measurement.
+* **Per-item cost.** Python-level calls per dispatched item on a small
+  fast-loop run, counted with ``sys.setprofile``: into ``repro/sim``
+  (the kernel), and into the datapath packages ``repro/hw``,
+  ``repro/net``, ``repro/iomodels`` and ``repro/interpose``.  The counts
+  are deterministic, so a change that adds a call to the per-wake or
+  per-message path fails tier-1 without any wall-clock measurement.
 """
 
+import gc
 import hashlib
 import os
 import sys
 from unittest import mock
 
-import repro.sim
+import pytest
+
+import repro
 from repro.cluster import TestbedSpec, build_testbed
 from repro.sim import Environment, ms
 from repro.telemetry.flight import _describe
 from repro.testing import run_scenario
 from repro.workloads import ApacheBench
 
-_SIM_DIR = os.path.dirname(repro.sim.__file__) + os.sep
+_REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+_SIM_DIR = _REPRO_DIR + "sim" + os.sep
+_DATAPATH_DIRS = tuple(_REPRO_DIR + package + os.sep
+                       for package in ("hw", "net", "iomodels", "interpose"))
 
 # apache_vrio at seed 0: number of dispatched items and the SHA-256 of
 # one "now source detail" line per item.  Any change to which items the
@@ -37,12 +45,19 @@ APACHE_VRIO_STEPS = 18_155
 APACHE_VRIO_STREAM_SHA256 = (
     "f7207be9c477802b7345b87bb699d5c0c9125967d3b587c90c3c9cc468408d21")
 
-# Ceiling on Python calls into repro/sim per dispatched item for the
-# ApacheBench run in _sim_calls_per_item: 4.52 with the one-call process
-# wake (8.78 when each wake went through _on_event, _resume, the ok,
-# value and is_alive properties and add_callback).  Lower it when a
-# change removes calls; a change that adds one fails here.
-SIM_CALLS_PER_ITEM_MAX = 4.53
+# Ceilings on Python calls per dispatched item for the ApacheBench run
+# in _calls_per_item.  Lower them when a change removes calls; a change
+# that adds one fails here.
+#
+# Into repro/sim: 4.314 with Event.__init__ inlined into Process and
+# Store skipping _admit_putter while no putter waits (4.523 before; 8.78
+# when each wake went through _on_event, _resume, the ok, value and
+# is_alive properties and add_callback).
+SIM_CALLS_PER_ITEM_MAX = 4.315
+# Into repro/{hw,net,iomodels,interpose}: 2.971 with fragment counts and
+# zero-copy page counts in closed form and no generator for an empty
+# interposer chain (3.044 before).
+DATAPATH_CALLS_PER_ITEM_MAX = 2.972
 
 
 class _StreamDigest:
@@ -85,32 +100,53 @@ def test_apache_vrio_dispatch_stream_pinned():
         APACHE_VRIO_STEPS, APACHE_VRIO_STREAM_SHA256)
 
 
-def _sim_calls_per_item() -> float:
-    """Python calls into repro/sim per dispatched item: two ApacheBench
-    clients over vRIO for 2 ms on the unmonitored loop, items counted by
-    the kernel's own dispatch counters."""
+def _calls_per_item() -> tuple:
+    """Python calls into repro/sim, and into the datapath packages, per
+    dispatched item: two ApacheBench clients over vRIO for 2 ms on the
+    unmonitored loop, items counted by the kernel's own dispatch
+    counters."""
     tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=2, seed=0))
     for i in range(2):
         ApacheBench(tb.env, tb.clients[i], tb.ports[i], tb.costs,
                     warmup_ns=0)
     env = tb.env
-    calls = 0
+    sim_calls = datapath_calls = 0
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(_SIM_DIR):
-            calls += 1
+        nonlocal sim_calls, datapath_calls
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename.startswith(_SIM_DIR):
+                sim_calls += 1
+            elif filename.startswith(_DATAPATH_DIRS):
+                datapath_calls += 1
 
+    # Collecting garbage closes abandoned generators, such as the
+    # processes of earlier testbeds, which the profile would count as
+    # calls; so collect before the run and not during it.
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         env.run(until=ms(2))
     finally:
         sys.setprofile(None)
+        gc.enable()
     steps = env.events_dispatched + env.callbacks_dispatched
     assert steps > 1000
-    return calls / steps
+    return sim_calls / steps, datapath_calls / steps
 
 
-def test_sim_calls_per_dispatched_item_bounded():
-    per_item = _sim_calls_per_item()
-    assert per_item <= SIM_CALLS_PER_ITEM_MAX, per_item
+@pytest.fixture(scope="module")
+def calls_per_item() -> tuple:
+    return _calls_per_item()
+
+
+def test_sim_calls_per_dispatched_item_bounded(calls_per_item):
+    sim_per_item, _ = calls_per_item
+    assert sim_per_item <= SIM_CALLS_PER_ITEM_MAX, sim_per_item
+
+
+def test_datapath_calls_per_dispatched_item_bounded(calls_per_item):
+    _, datapath_per_item = calls_per_item
+    assert datapath_per_item <= DATAPATH_CALLS_PER_ITEM_MAX, datapath_per_item

@@ -67,6 +67,21 @@ def test_scalability_topology_is_vrio_only():
                                   n_vmhosts=2))
 
 
+@pytest.mark.parametrize("mtu", [56, 0, -5])
+def test_vrio_channel_mtu_must_fit_headers_and_a_byte(mtu):
+    # 16 vRIO + 40 fake TCP/IP header bytes ride inside every fragment.
+    with pytest.raises(ValueError, match="at least 57 bytes"):
+        build_testbed(TestbedSpec(model="vrio", channel_mtu=mtu))
+
+
+def test_smallest_vrio_channel_mtu_builds_and_runs():
+    tb = build_testbed(TestbedSpec(model="vrio", channel_mtu=57))
+    rr = NetperfRR(tb.env, tb.clients[0], tb.ports[0], tb.costs,
+                   warmup_ns=0)
+    tb.env.run(until=ms(1))
+    assert rr.transactions > 0
+
+
 def test_shim_and_spec_runs_are_bit_identical():
     def transactions(tb):
         rrs = [NetperfRR(tb.env, tb.clients[i], tb.ports[i], tb.costs,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.iomodels import message_wire_bytes
 from repro.iomodels.costs import DEFAULT_COSTS
 from repro.iomodels.vrio import (
     chunk_fragments,
@@ -15,9 +16,16 @@ from repro.iomodels.vrio import (
 from repro.net import (
     ETHERNET_HEADER_BYTES,
     FAKE_TCPIP_HEADER_BYTES,
+    JUMBO_MTU_MAX,
     JUMBO_MTU_VRIO,
     TSO_MAX_BYTES,
     VRIO_HEADER_BYTES,
+    segment_sizes,
+)
+from tests.test_net_segmentation import (
+    BOUNDARY_SIZES,
+    EQUIVALENCE_LIMIT,
+    EQUIVALENCE_MTUS,
 )
 
 
@@ -87,3 +95,56 @@ def test_rx_cycles_scale_with_fragments():
 def test_standard_mtu_needs_more_fragments_than_jumbo():
     assert (chunk_fragments(TSO_MAX_BYTES, 1500)
             > chunk_fragments(TSO_MAX_BYTES, JUMBO_MTU_VRIO))
+
+
+# -- closed forms against their list-based definitions ------------------
+
+def wire_bytes_by_list(size_bytes, mtu):
+    """message_wire_bytes' definition: one extra Ethernet header per
+    fragment segment_sizes() makes beyond the first."""
+    fragments = len(segment_sizes(size_bytes, mtu))
+    return size_bytes + (fragments - 1) * ETHERNET_HEADER_BYTES
+
+
+def chunk_fragments_by_list(chunk_bytes, mtu):
+    """chunk_fragments' definition: the fragments of the chunk plus its
+    vRIO and fake TCP/IP headers."""
+    return len(segment_sizes(
+        chunk_bytes + VRIO_HEADER_BYTES + FAKE_TCPIP_HEADER_BYTES, mtu))
+
+
+@pytest.mark.parametrize("mtu", EQUIVALENCE_MTUS)
+def test_wire_geometry_matches_list_definitions(mtu):
+    for size in BOUNDARY_SIZES:
+        assert message_wire_bytes(size, mtu) == wire_bytes_by_list(size, mtu)
+        assert (chunk_fragments(size, mtu)
+                == chunk_fragments_by_list(size, mtu)), (size, mtu)
+
+
+@given(st.integers(min_value=1, max_value=EQUIVALENCE_LIMIT),
+       st.integers(min_value=1, max_value=JUMBO_MTU_MAX))
+@settings(max_examples=200)
+def test_wire_geometry_matches_list_definitions_property(size, mtu):
+    assert message_wire_bytes(size, mtu) == wire_bytes_by_list(size, mtu)
+    assert chunk_fragments(size, mtu) == chunk_fragments_by_list(size, mtu)
+
+
+# chunk_fragments adds the 56 header bytes before segmenting, so its
+# message size is non-positive only from -56 bytes down.
+@pytest.mark.parametrize("closed_form, by_list, size, mtu", [
+    (message_wire_bytes, wire_bytes_by_list, 0, 1500),
+    (message_wire_bytes, wire_bytes_by_list, -5, 1500),
+    (message_wire_bytes, wire_bytes_by_list, 100, 0),
+    (message_wire_bytes, wire_bytes_by_list, 100, -5),
+    (chunk_fragments, chunk_fragments_by_list, -56, 8100),
+    (chunk_fragments, chunk_fragments_by_list, -60, 8100),
+    (chunk_fragments, chunk_fragments_by_list, 100, 0),
+    (chunk_fragments, chunk_fragments_by_list, 100, -5),
+])
+def test_wire_geometry_rejects_nonpositive_like_lists(closed_form, by_list,
+                                                      size, mtu):
+    with pytest.raises(ValueError) as expected:
+        by_list(size, mtu)
+    with pytest.raises(ValueError) as raised:
+        closed_form(size, mtu)
+    assert str(raised.value) == str(expected.value)
