@@ -9,6 +9,11 @@ full-fidelity sweeps.
 
 import pytest
 
+from repro.cluster import TestbedSpec
+
+# The name starts with "Test", but it's a dataclass, not a test class.
+TestbedSpec.__test__ = False
+
 
 @pytest.fixture
 def show(capsys):

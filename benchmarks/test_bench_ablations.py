@@ -9,14 +9,14 @@
 
 from conftest import run_once
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.hw import BlockRequest
 from repro.sim import ms, seconds
 from repro.workloads import NetperfRR, NetperfStream
 
 
-def _rr_latency(model_name, **kwargs):
-    tb = build_simple_setup(model_name, 1, **kwargs)
+def _rr_latency(model_name):
+    tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=1))
     rr = NetperfRR(tb.env, tb.clients[0], tb.ports[0], tb.costs,
                    warmup_ns=ms(2))
     tb.env.run(until=ms(25))
@@ -44,7 +44,8 @@ def test_bench_ablation_channel_mtu(benchmark, show):
     def run():
         out = {}
         for mtu in (1500, 8100, 9000):
-            tb = build_simple_setup("vrio", 2, channel_mtu=mtu)
+            tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=2,
+                                           channel_mtu=mtu))
             streams = [NetperfStream(tb.env, tb.ports[i], tb.clients[i],
                                      tb.costs, warmup_ns=ms(2))
                        for i in range(2)]
@@ -137,9 +138,10 @@ def test_bench_ablation_rx_ring(benchmark, show):
             # initial value.
             costs = DEFAULT_COSTS.copy(blk_initial_timeout_ns=seconds(2),
                                        blk_max_timeout_ns=seconds(2))
-            tb = build_simple_setup("vrio", 1, with_clients=False,
-                                    channel_rx_ring=ring, pump_window=1,
-                                    costs=costs)
+            tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1,
+                                           with_clients=False,
+                                           channel_rx_ring=ring, pump_window=1,
+                                           costs=costs))
             tb.model.add_interposer(AesEncryption())
             handle = tb.attach_ramdisk(tb.vms[0])
 

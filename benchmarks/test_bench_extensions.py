@@ -43,7 +43,7 @@ def test_bench_fig14_ssd_variant(benchmark, show):
 def test_bench_dynamic_allocation(benchmark, show):
     """Dynamic sidecore allocation vs static vs vRIO, under the paper's
     two limitations (discreteness; server-boundedness)."""
-    from repro.cluster import build_simple_setup
+    from repro.cluster import TestbedSpec, build_testbed
     from repro.hw import Core
     from repro.iomodels.dynamic import DynamicSidecoreAllocator
     from repro.workloads import Memslap
@@ -52,7 +52,8 @@ def test_bench_dynamic_allocation(benchmark, show):
         def throughput(kind):
             sidecores = 2 if kind == "static2" else 1
             model_name = "vrio" if kind == "vrio" else "elvis"
-            tb = build_simple_setup(model_name, 7, sidecores=sidecores)
+            tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=7,
+                                           sidecores=sidecores))
             if kind == "dynamic":
                 spares = [Core(tb.env, "vmhost0/spare0",
                                tb.costs.vmhost_ghz, poll_mode=True,

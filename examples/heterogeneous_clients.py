@@ -15,7 +15,7 @@ disable.
 Run:  python examples/heterogeneous_clients.py
 """
 
-from repro.cluster import build_scalability_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.hw import Core
 from repro.interpose import Meter
 from repro.iomodels.vrio import live_migrate
@@ -25,7 +25,8 @@ from repro.sim import ms
 def main() -> None:
     # Two VMhosts behind one IOhost, one VM each; each VMhost paired with
     # its own load generator.
-    testbed = build_scalability_setup(n_vmhosts=2, vms_per_host=1, workers=2)
+    testbed = build_testbed(TestbedSpec(model="vrio", topology="scalability",
+                                        n_vmhosts=2, sidecores=2))
     model = testbed.model
     meter = Meter()
     model.add_interposer(meter)

@@ -9,13 +9,13 @@ virtualization-event counts that explain it.
 Run:  python examples/quickstart.py
 """
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.sim import ms
 from repro.workloads import NetperfRR
 
 
 def measure(model_name: str, n_vms: int = 1) -> dict:
-    testbed = build_simple_setup(model_name, n_vms=n_vms)
+    testbed = build_testbed(TestbedSpec(model=model_name, vms_per_host=n_vms))
     workloads = [
         NetperfRR(testbed.env, testbed.clients[i], testbed.ports[i],
                   testbed.costs, warmup_ns=ms(2))

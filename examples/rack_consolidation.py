@@ -12,16 +12,17 @@ the Table 2 rack transforms and the Figure 3 SSD-consolidation sweep.
 Run:  python examples/rack_consolidation.py
 """
 
-from repro.cluster import build_consolidation_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.costmodel import rack_price_comparison, ssd_consolidation_ratio
 from repro.interpose import AesEncryption
 from repro.sim import ms
 from repro.workloads import WebserverPersonality
 
 
-def webserver_run(model_name, active_vms, aes=False, **setup_kwargs):
-    testbed = build_consolidation_setup(model_name, n_vmhosts=2,
-                                        vms_per_host=5, **setup_kwargs)
+def webserver_run(model_name, active_vms, aes=False, sidecores=1):
+    testbed = build_testbed(TestbedSpec(model=model_name,
+                                        topology="consolidation", n_vmhosts=2,
+                                        vms_per_host=5, sidecores=sidecores))
     if aes:
         for model in testbed.models:
             model.add_interposer(AesEncryption())
@@ -43,9 +44,8 @@ def webserver_run(model_name, active_vms, aes=False, **setup_kwargs):
 def main() -> None:
     print("=== Consolidation tradeoff: 2 local sidecores => 1 remote ===")
     all_vms = range(10)
-    elvis_mbps, elvis_util = webserver_run("elvis", all_vms,
-                                           sidecores_per_host=1)
-    vrio_mbps, vrio_util = webserver_run("vrio", all_vms, vrio_workers=1)
+    elvis_mbps, elvis_util = webserver_run("elvis", all_vms, sidecores=1)
+    vrio_mbps, vrio_util = webserver_run("vrio", all_vms, sidecores=1)
     base_mbps, _ = webserver_run("baseline", all_vms)
     print(f"  elvis (2 sidecores): {elvis_mbps:8.0f} Mbps, useful "
           f"utilization {elvis_util[0]:.0f}% + {elvis_util[1]:.0f}%")
@@ -60,9 +60,8 @@ def main() -> None:
     print("=== Load imbalance: same 2-sidecore budget, one hot VMhost, "
           "AES-256 interposition ===")
     hot_vms = range(5)  # only VMhost 0 is active
-    elvis_hot, _ = webserver_run("elvis", hot_vms, sidecores_per_host=1,
-                                 aes=True)
-    vrio_hot, _ = webserver_run("vrio", hot_vms, vrio_workers=2, aes=True)
+    elvis_hot, _ = webserver_run("elvis", hot_vms, sidecores=1, aes=True)
+    vrio_hot, _ = webserver_run("vrio", hot_vms, sidecores=2, aes=True)
     print(f"  elvis (1 usable local sidecore) : {elvis_hot:7.0f} Mbps")
     print(f"  vrio  (2 consolidated sidecores): {vrio_hot:7.0f} Mbps "
           f"({vrio_hot / elvis_hot - 1:+.1%})")

@@ -15,15 +15,16 @@ I/O against it through the guest disk scheduler, and demonstrates:
 Run:  python examples/remote_block_device.py
 """
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.sim import ms, seconds
 from repro.workloads import FilebenchRandomIO
 
 
 def filebench(model_name: str, readers: int, writers: int,
               channel_loss: float = 0.0):
-    testbed = build_simple_setup(model_name, n_vms=1, with_clients=False,
-                                 channel_loss=channel_loss, seed=42)
+    testbed = build_testbed(TestbedSpec(model=model_name, vms_per_host=1,
+                                        with_clients=False,
+                                        channel_loss=channel_loss, seed=42))
     vm = testbed.vms[0]
     handle = testbed.attach_ramdisk(vm)
     workload = FilebenchRandomIO(

@@ -54,9 +54,6 @@ from . import (
 )
 from .cluster import (
     TestbedSpec,
-    build_consolidation_setup,
-    build_scalability_setup,
-    build_simple_setup,
     build_testbed,
 )
 from .iomodels import (
@@ -75,8 +72,6 @@ __all__ = [
     "sim", "hw", "net", "virtio", "guest", "iomodels", "interpose",
     "workloads", "cluster", "costmodel", "experiments", "analysis",
     "TestbedSpec", "build_testbed",
-    "build_simple_setup", "build_scalability_setup",
-    "build_consolidation_setup",
     "BaselineModel", "ElvisModel", "OptimumModel", "VrioModel",
     "CostModel", "DEFAULT_COSTS", "IoEventStats",
     "__version__",

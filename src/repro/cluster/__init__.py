@@ -1,4 +1,4 @@
-"""Rack-level assembly: machines, topologies, paper testbed builders."""
+"""Rack-level assembly: machines, topologies, the testbed builder."""
 
 from .host import IoHostMachine, LoadGenHost, VmHostMachine, guest_costs_from
 from .testbed import (
@@ -6,10 +6,6 @@ from .testbed import (
     TOPOLOGIES,
     Testbed,
     TestbedSpec,
-    build_consolidation_setup,
-    build_scalability_setup,
-    build_simple_setup,
-    build_switched_setup,
     build_testbed,
 )
 
@@ -17,6 +13,4 @@ __all__ = [
     "VmHostMachine", "IoHostMachine", "LoadGenHost", "guest_costs_from",
     "Testbed", "TestbedSpec", "build_testbed",
     "MODEL_NAMES", "TOPOLOGIES",
-    "build_simple_setup", "build_scalability_setup",
-    "build_consolidation_setup", "build_switched_setup",
 ]

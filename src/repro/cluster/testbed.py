@@ -7,19 +7,20 @@ assembles it.  Because specs are plain serializable data, a campaign
 (spec × fault plan × seed) can be cached, shipped to worker processes, and
 reproduced bit-for-bit.
 
-The four historical builders remain as thin shims over specs:
+The paper's setups are topologies of one spec:
 
-* ``build_simple_setup`` — Figure 6: one VMhost, one load generator, and —
-  for vRIO — an IOhost interposed between them.  Core budgets follow the
-  paper: N+1 active cores for baseline/Elvis/vRIO (the +1 being the
+* ``simple`` — Figure 6: one VMhost, one load generator, and — for
+  remote models — an IOhost interposed between them.  Core budgets follow
+  the paper: N+1 active cores for baseline/Elvis/vRIO (the +1 being the
   sidecore, local or remote) and N for the optimum.
-* ``build_scalability_setup`` — Figure 13: four logical VMhosts, each with
-  its own load generator, all served by one IOhost.
-* ``build_switched_setup`` — §4.6: client traffic through a rack switch
-  that can re-steer F addresses to the VMhost after an IOhost failure.
-* ``build_consolidation_setup`` — Figure 15/16: several VMhosts running
-  block workloads on ramdisks — local sidecores under Elvis/baseline,
+* ``scalability`` — Figure 13: several logical VMhosts, each with its own
+  load generator, all served by one IOhost.
+* ``switched`` — §4.6: client traffic through a rack switch that can
+  re-steer F addresses to the VMhost after an IOhost failure.
+* ``consolidation`` — Figure 15/16: several VMhosts running block
+  workloads on ramdisks — local sidecores under Elvis/baseline,
   consolidated remote sidecores under vRIO.
+* ``racks`` — several §5 racks joined by a leaf-spine fabric.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ __all__ = [
     "build_testbed",
     "MODEL_NAMES",
     "TOPOLOGIES",
-    "build_simple_setup",
-    "build_scalability_setup",
-    "build_consolidation_setup",
-    "build_switched_setup",
 ]
 
 # Derived from the model registry (importing ..iomodels above registered
@@ -211,10 +208,6 @@ class TestbedSpec:
         return cls(**data)
 
 
-def _check_model_name(model_name: str) -> None:
-    get_model(model_name)  # raises ValueError listing the valid ids
-
-
 def build_testbed(spec: TestbedSpec) -> Testbed:
     """Assemble the testbed a :class:`TestbedSpec` describes.
 
@@ -223,6 +216,11 @@ def build_testbed(spec: TestbedSpec) -> Testbed:
     a fault plan — arms a :class:`repro.faults.FaultInjector` so the
     planned faults fire as simulation events during the run.
     """
+    for name in ("n_vmhosts", "vms_per_host", "sidecores", "n_racks",
+                 "n_spines"):
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     info = get_model(spec.model)
     if spec.topology not in _TOPOLOGY_BUILDERS:
         raise ValueError(
@@ -270,8 +268,31 @@ def build_testbed(spec: TestbedSpec) -> Testbed:
     return testbed
 
 
+class _HostFactories:
+    """The IOhost and link factories both builder contexts share.
+
+    Holds no fields: each context dataclass declares ``env``, ``costs``,
+    ``rng``, ``iohost`` and ``links`` itself.
+    """
+
+    def new_iohost(self, name: str = "iohost") -> IoHostMachine:
+        """Create the setup's IOhost (remote-sidecore models only)."""
+        self.iohost = IoHostMachine(self.env, name, self.costs)
+        return self.iohost
+
+    def new_link(self, name: str, gbps: float, loss: float = 0.0) -> Link:
+        """A named fabric link; lossy links draw from ``{name}-loss``."""
+        link = Link(self.env, gbps=gbps,
+                    propagation_ns=self.costs.propagation_ns,
+                    loss_probability=loss,
+                    rng=self.rng.stream(f"{name}-loss") if loss else None,
+                    name=name)
+        self.links[name] = link
+        return link
+
+
 @dataclass
-class SimpleTopologyContext:
+class SimpleTopologyContext(_HostFactories):
     """What a registered model's simple-topology builder works with.
 
     The testbed creates the VMhost and its VMs first (their creation
@@ -294,21 +315,6 @@ class SimpleTopologyContext:
     links: Dict[str, Link] = field(default_factory=dict)
     channels: List[object] = field(default_factory=list)
 
-    def new_iohost(self, name: str = "iohost") -> IoHostMachine:
-        """Create the setup's IOhost (remote-sidecore models only)."""
-        self.iohost = IoHostMachine(self.env, name, self.costs)
-        return self.iohost
-
-    def new_link(self, name: str, gbps: float, loss: float = 0.0) -> Link:
-        """A named fabric link; lossy links draw from ``{name}-loss``."""
-        link = Link(self.env, gbps=gbps,
-                    propagation_ns=self.costs.propagation_ns,
-                    loss_probability=loss,
-                    rng=self.rng.stream(f"{name}-loss") if loss else None,
-                    name=name)
-        self.links[name] = link
-        return link
-
     def wire_loadgen(self, nic) -> None:
         """Hang the load-generator link off ``nic`` (the model-facing
         side of the client fabric; the LoadGenHost itself is attached by
@@ -321,7 +327,7 @@ class SimpleTopologyContext:
 
 
 @dataclass
-class ConsolidationContext:
+class ConsolidationContext(_HostFactories):
     """What a registered model's consolidation builder works with.
 
     Unlike the simple topology, VMhosts and VMs are created *by* the
@@ -344,18 +350,20 @@ class ConsolidationContext:
         self.vmhosts.append(vmhost)
         return vmhost
 
-    def new_iohost(self, name: str = "iohost") -> IoHostMachine:
-        self.iohost = IoHostMachine(self.env, name, self.costs)
-        return self.iohost
 
-    def new_link(self, name: str, gbps: float, loss: float = 0.0) -> Link:
-        link = Link(self.env, gbps=gbps,
-                    propagation_ns=self.costs.propagation_ns,
-                    loss_probability=loss,
-                    rng=self.rng.stream(f"{name}-loss") if loss else None,
-                    name=name)
-        self.links[name] = link
-        return link
+def _wire_channel(model: VrioModel, links: Dict[str, Link],
+                  vmhost: VmHostMachine, iohost: IoHostMachine,
+                  link_name: str, iohost_label: str) -> object:
+    """Join ``vmhost`` to ``iohost`` by a direct channel link and hand
+    both NICs to the model; returns the model's per-VMhost channel."""
+    link = Link(vmhost.env, gbps=vmhost.costs.channel_gbps,
+                propagation_ns=vmhost.costs.propagation_ns, name=link_name)
+    links[link_name] = link
+    vmhost_nic = vmhost.new_nic("channel")
+    vmhost_nic.attach(link.side_a)
+    iohost_nic = iohost.new_nic(iohost_label)
+    iohost_nic.attach(link.side_b)
+    return model.connect_vmhost(vmhost.name, vmhost_nic, iohost_nic)
 
 
 def _build_simple(spec: TestbedSpec) -> Testbed:
@@ -419,16 +427,8 @@ def _build_scalability(spec: TestbedSpec) -> Testbed:
     for h in range(spec.n_vmhosts):
         vmhost = VmHostMachine(env, f"vmhost{h}", costs, core_budget=8)
         vmhosts.append(vmhost)
-        channel_link = Link(env, gbps=costs.channel_gbps,
-                            propagation_ns=costs.propagation_ns,
-                            name=f"channel{h}")
-        links[f"channel{h}"] = channel_link
-        vmhost_nic = vmhost.new_nic("channel")
-        vmhost_nic.attach(channel_link.side_a)
-        iohost_channel_nic = iohost.new_nic(f"channel{h}")
-        iohost_channel_nic.attach(channel_link.side_b)
-        channel = model.connect_vmhost(f"vmhost{h}", vmhost_nic,
-                                       iohost_channel_nic)
+        channel = _wire_channel(model, links, vmhost, iohost,
+                                f"channel{h}", f"channel{h}")
         channels.append(channel)
 
         external_nic = iohost.new_nic(f"external{h}")
@@ -484,14 +484,9 @@ def _build_switched(spec: TestbedSpec) -> Testbed:
     model = VrioModel(env, worker_cores, costs=costs, stats=stats)
 
     # Direct channel link VMhost <-> IOhost (cheap wiring stays).
-    channel_link = Link(env, gbps=costs.channel_gbps,
-                        propagation_ns=costs.propagation_ns, name="channel")
-    vmhost_channel_nic = vmhost.new_nic("channel")
-    vmhost_channel_nic.attach(channel_link.side_a)
-    iohost_channel_nic = iohost.new_nic("channel")
-    iohost_channel_nic.attach(channel_link.side_b)
-    channel = model.connect_vmhost("vmhost0", vmhost_channel_nic,
-                                   iohost_channel_nic)
+    links: Dict[str, Link] = {}
+    channel = _wire_channel(model, links, vmhost, iohost, "channel",
+                            "channel")
 
     # Everyone else hangs off the switch.
     lg_link = Link(env, gbps=costs.link_gbps,
@@ -503,6 +498,7 @@ def _build_switched(spec: TestbedSpec) -> Testbed:
     vmhost_link = Link(env, gbps=costs.link_gbps,
                        propagation_ns=costs.propagation_ns, name="vmhost")
     vmhost_end = switch.add_port(vmhost_link)
+    links.update(lg=lg_link, iohost=iohost_link, vmhost=vmhost_link)
 
     external_nic = iohost.new_nic("external")
     external_nic.attach(iohost_end)
@@ -523,9 +519,7 @@ def _build_switched(spec: TestbedSpec) -> Testbed:
                       ports=ports, clients=clients, stats=stats,
                       service_cores=worker_cores, rng=rng, vmhosts=[vmhost],
                       iohost=iohost, loadgens=[loadgen], models=[model],
-                      links={"channel": channel_link, "lg": lg_link,
-                             "iohost": iohost_link, "vmhost": vmhost_link},
-                      channels=[channel],
+                      links=links, channels=[channel],
                       _model_by_vm={vm.name: model for vm in vms})
     testbed.switch = switch
     testbed.switch_ports = {"loadgen": lg_link.side_a,
@@ -645,16 +639,8 @@ def _build_racks(spec: TestbedSpec) -> Testbed:
             vmhost = VmHostMachine(env, f"rack{r}/vmhost{h}", costs,
                                    core_budget=8)
             vmhosts.append(vmhost)
-            channel_link = Link(env, gbps=costs.channel_gbps,
-                                propagation_ns=costs.propagation_ns,
-                                name=f"r{r}channel{h}")
-            links[f"r{r}channel{h}"] = channel_link
-            vmhost_nic = vmhost.new_nic("channel")
-            vmhost_nic.attach(channel_link.side_a)
-            iohost_channel_nic = iohost.new_nic(f"channel{h}")
-            iohost_channel_nic.attach(channel_link.side_b)
-            channel = model.connect_vmhost(f"rack{r}/vmhost{h}", vmhost_nic,
-                                           iohost_channel_nic)
+            channel = _wire_channel(model, links, vmhost, iohost,
+                                    f"r{r}channel{h}", f"channel{h}")
             channels.append(channel)
             for _ in range(spec.vms_per_host):
                 vm = vmhost.new_vm()
@@ -699,73 +685,3 @@ _TOPOLOGY_BUILDERS = {
 }
 
 TOPOLOGIES = tuple(sorted(_TOPOLOGY_BUILDERS))
-
-
-# -- historical builder names (shims over TestbedSpec) -----------------------
-
-def build_simple_setup(model_name: str, n_vms: int,
-                       costs: Optional[CostModel] = None,
-                       sidecores: int = 1,
-                       seed: int = 0,
-                       with_clients: bool = True,
-                       channel_loss: float = 0.0,
-                       channel_rx_ring: int = 4096,
-                       channel_mtu: int = 8100,
-                       pump_window: int = 32,
-                       worker_idle_policy: Optional[str] = None) -> Testbed:
-    """Shim: the Figure 6 setup as a spec (see :func:`build_testbed`).
-
-    ``sidecores`` controls the Elvis sidecore count / baseline I/O core
-    count / vRIO worker count (the paper's default experiments use 1).
-    """
-    _check_model_name(model_name)
-    if n_vms <= 0:
-        raise ValueError(f"need at least one VM, got {n_vms}")
-    return build_testbed(TestbedSpec(
-        model=model_name, topology="simple", n_vmhosts=1,
-        vms_per_host=n_vms, sidecores=sidecores, seed=seed,
-        with_clients=with_clients, channel_loss=channel_loss,
-        channel_rx_ring=channel_rx_ring, channel_mtu=channel_mtu,
-        pump_window=pump_window, worker_idle_policy=worker_idle_policy,
-        costs=costs))
-
-
-def build_scalability_setup(n_vmhosts: int = 4, vms_per_host: int = 1,
-                            workers: int = 1,
-                            costs: Optional[CostModel] = None,
-                            seed: int = 0,
-                            model_numa: bool = True) -> Testbed:
-    """Shim: the Figure 13 topology as a spec (see :func:`build_testbed`)."""
-    return build_testbed(TestbedSpec(
-        model="vrio", topology="scalability", n_vmhosts=n_vmhosts,
-        vms_per_host=vms_per_host, sidecores=workers, seed=seed,
-        model_numa=model_numa, costs=costs))
-
-
-def build_switched_setup(n_vms: int = 1, workers: int = 1,
-                         costs: Optional[CostModel] = None,
-                         seed: int = 0) -> Testbed:
-    """Shim: the §4.6 switched topology as a spec (see
-    :func:`build_testbed` and :func:`_build_switched` for the extras)."""
-    return build_testbed(TestbedSpec(
-        model="vrio", topology="switched", n_vmhosts=1, vms_per_host=n_vms,
-        sidecores=workers, seed=seed, costs=costs))
-
-
-def build_consolidation_setup(model_name: str, n_vmhosts: int = 2,
-                              vms_per_host: int = 5,
-                              sidecores_per_host: int = 1,
-                              vrio_workers: int = 1,
-                              costs: Optional[CostModel] = None,
-                              seed: int = 0) -> Testbed:
-    """Shim: the Figure 15/16 topology as a spec (see :func:`build_testbed`).
-
-    Elvis/baseline get ``sidecores_per_host`` local service cores per
-    VMhost; vRIO gets ``vrio_workers`` consolidated workers at one IOhost.
-    """
-    _check_model_name(model_name)
-    sidecores = vrio_workers if model_name == "vrio" else sidecores_per_host
-    return build_testbed(TestbedSpec(
-        model=model_name, topology="consolidation", n_vmhosts=n_vmhosts,
-        vms_per_host=vms_per_host, sidecores=sidecores, seed=seed,
-        costs=costs))

@@ -30,6 +30,8 @@ from .transport import ChannelPacket
 
 __all__ = ["WorkerPool", "NicPump"]
 
+_STEERING_POLICIES = ("affinity", "random")
+
 
 class WorkerPool:
     """Steers per-device work onto worker sidecores, preserving order.
@@ -47,8 +49,9 @@ class WorkerPool:
                  policy: str = "affinity", rng: Optional[Any] = None) -> None:
         if not workers:
             raise ValueError("worker pool needs at least one core")
-        if policy not in ("affinity", "random"):
-            raise ValueError(f"unknown steering policy {policy!r}")
+        if policy not in _STEERING_POLICIES:
+            raise ValueError(f"unknown steering policy {policy!r}; valid "
+                             f"policies: {', '.join(_STEERING_POLICIES)}")
         if policy == "random" and rng is None:
             raise ValueError(
                 "policy='random' needs an rng threaded from the testbed's "

@@ -8,12 +8,11 @@ those numbers:
 * :mod:`.registry` — a namespaced :class:`MetricsRegistry` that components
   register their existing counters/histograms/utilization trackers into;
 * :mod:`.instrument` — walks a testbed and registers everything;
-* :mod:`.stages` — per-request stage-latency breakdown from the Tracer;
 * :mod:`.timeline` — fixed-width simulated-time windows turning counters
   into rates, sampling gauges, and computing rolling percentiles, driven
   by the engine's ``on_advance`` monitor hook (zero-cost unbound);
-* :mod:`.attribution` — queueing-vs-service decomposition of each traced
-  request plus cycles-per-component flamegraph exports;
+* :mod:`.attribution` — per-stage, queueing-vs-service decomposition of
+  each traced request plus cycles-per-component flamegraph exports;
 * :mod:`.slo` — declarative :class:`SloSpec` probes evaluated per
   window, with violations mirrored into the flight recorder;
 * :mod:`.exporters` — Chrome ``trace_event`` JSON, metrics JSON/CSV,
@@ -33,6 +32,7 @@ from .attribution import (
     stage_kind,
     to_folded_stacks,
     to_speedscope,
+    trace_markers,
 )
 from .exporters import (
     text_report,
@@ -63,7 +63,6 @@ from .session import (
     bind_testbed,
 )
 from .slo import SloProbe, SloSpec, SloViolation
-from .stages import StageBreakdown, stage_breakdown, trace_markers
 from .timeline import (
     DEFAULT_WINDOW_NS,
     Timeline,
@@ -75,8 +74,7 @@ __all__ = [
     "MetricsRegistry", "MetricsNamespace",
     "instrument_testbed", "register_core", "register_nic",
     "register_storage_device", "register_switch", "sample_utilization",
-    "StageBreakdown", "stage_breakdown", "trace_markers",
-    "LatencyAttribution", "attribute", "stage_kind",
+    "LatencyAttribution", "attribute", "stage_kind", "trace_markers",
     "to_folded_stacks", "to_speedscope",
     "DEFAULT_WINDOW_NS", "Timeline", "render_dashboard", "sparkline",
     "SloSpec", "SloProbe", "SloViolation",

@@ -1,22 +1,24 @@
 """Per-request latency attribution: queueing vs. service per stage.
 
-Builds on the PR-2 stage machinery (:mod:`repro.telemetry.stages`):
-every traced request leaves time-ordered markers, and consecutive
-markers delimit stages that tile the trace's end-to-end latency exactly.
-Attribution classifies each stage —
+Every traced request leaves a trail of *markers* on the clock: point
+events contribute one marker each, spans contribute a start marker (the
+span's name) and an end marker (``<name>_end``).  Consecutive markers of
+one trace delimit a **stage**, and attribution classifies each —
 
-* a stage named after a span (``iohost_service``, ``device_io``,
-  ``vhost_service``) is **service** time: a component was actively
+* the interval from a span's start marker straight to its own end marker
+  is named after the span (``iohost_service``, ``device_io``,
+  ``vhost_service``) and is **service** time: a component was actively
   working on the request;
-* an ``a→b`` stage between two different markers is **queueing** time:
-  the request sat in a ring, channel, or completion path between
-  components (``guest_tx→iohost_service`` is the guest-ring-to-sidecore
-  hop).
+* any other interval is named ``a→b`` after its two bounding markers and
+  is **queueing** time: the request sat in a ring, channel, or completion
+  path between components (``guest_tx→iohost_service`` is the
+  guest-ring-to-sidecore hop).
 
 — and answers "which stage dominates at p99": among the *tail* traces
 (end-to-end at or above the p99), the stage with the largest share of
-total latency.  Because stages tile exactly, per-stage sums equal the
-end-to-end sum with no rounding, per trace and in aggregate.
+total latency.  Because stages tile the marker range of each trace
+exactly, per-stage sums equal the end-to-end sum (last minus first
+marker) with no rounding, per trace and in aggregate.
 
 The same module exports simulated-cycles-per-component flamegraphs from
 the cores' cycle ledgers (``Core.cycles_by_tag``), in both collapsed
@@ -29,14 +31,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim import Histogram
-from .stages import END_TO_END, trace_markers
 
 __all__ = [
     "QUEUEING",
     "SERVICE",
+    "END_TO_END",
     "LatencyAttribution",
     "attribute",
     "stage_kind",
+    "trace_markers",
     "cycles_by_component",
     "to_folded_stacks",
     "to_speedscope",
@@ -44,6 +47,34 @@ __all__ = [
 
 QUEUEING = "queueing"
 SERVICE = "service"
+END_TO_END = "end_to_end"
+
+
+def trace_markers(tracer: Any) -> Dict[Any, List[Tuple[int, str]]]:
+    """Every trace's time-ordered ``(at_ns, label)`` markers, by trace id.
+
+    One pass over the tracer's records groups them by trace; traces come
+    in first-seen order (``tracer.trace_ids()``).  Ties on the clock are
+    broken by recording order (events before the spans recorded after
+    them; each span takes two sequence numbers), which is deterministic.
+    """
+    keyed: Dict[Any, List[Tuple[int, int, str]]] = {}
+    seq = 0
+    for event in tracer.events:
+        keyed.setdefault(event.trace_id, []).append(
+            (event.at_ns, seq, event.name))
+        seq += 1
+    for span in tracer.spans:
+        marks = keyed.setdefault(span.trace_id, [])
+        marks.append((span.start_ns, seq, span.name))
+        if span.end_ns is not None:
+            marks.append((span.end_ns, seq + 1, f"{span.name}_end"))
+        seq += 2
+    grouped: Dict[Any, List[Tuple[int, str]]] = {}
+    for trace_id, marks in keyed.items():
+        marks.sort()  # (at_ns, seq): seq is unique, labels never compare
+        grouped[trace_id] = [(at_ns, label) for at_ns, _seq, label in marks]
+    return grouped
 
 
 def stage_kind(stage: str) -> str:
@@ -64,7 +95,7 @@ class LatencyAttribution:
     """Aggregated queueing/service decomposition across many traces."""
 
     def __init__(self) -> None:
-        # Insertion-ordered: first-seen datapath order, like StageBreakdown.
+        # Insertion-ordered: stages appear in first-seen datapath order.
         self.stages: Dict[str, Histogram] = {}
         self.end_to_end = Histogram(END_TO_END)
         self.traces: List[TraceAttribution] = []
@@ -146,28 +177,48 @@ class LatencyAttribution:
                 if dominant else None),
         }
 
+    def _table(self, title: str, stats: Tuple[str, ...],
+               attributed: bool) -> str:
+        """Title, header and one row per stage plus ``end_to_end``.
+
+        Every row shows the count and ``stats`` in us; the attributed
+        table adds each stage's kind and total.
+        """
+        def row(name: str, kind: str, count: str, cells: str,
+                total: str) -> str:
+            if not attributed:
+                return f"{name:38s} {count}{cells}"
+            return f"{name:38s} {kind:>8s} {count}{cells} {total}"
+
+        lines = [title, row("stage", "kind", f"{'count':>7s}",
+                            "".join(f" {stat:>9s}" for stat in stats),
+                            f"{'total':>11s}")]
+        rows = [(name, stage_kind(name), histogram)
+                for name, histogram in self.stages.items()]
+        rows.append((END_TO_END, "", self.end_to_end))
+        for name, kind, histogram in rows:
+            d = histogram.summary()
+            lines.append(row(
+                name, kind, f"{d['count']:7d}",
+                "".join(f" {d[stat] / 1000.0:9.2f}" for stat in stats),
+                f"{sum(histogram.samples) / 1000.0:11.1f}"))
+        return "\n".join(lines)
+
+    def stage_table(self) -> str:
+        """Per-stage latency distribution table (values in us)."""
+        if not self.traces:
+            return "stage breakdown: no traced requests"
+        return self._table(
+            f"stage latency breakdown ({len(self.traces)} traced requests, "
+            f"us)", ("mean", "p50", "p95", "p99", "max"), attributed=False)
+
     def format(self) -> str:
         """Aligned text table (values in us) plus the tail verdict."""
         if not self.traces:
             return "latency attribution: no traced requests"
-        lines = [
+        lines = [self._table(
             f"latency attribution ({len(self.traces)} traced requests, us)",
-            f"{'stage':38s} {'kind':>8s} {'count':>7s} {'mean':>9s} "
-            f"{'p50':>9s} {'p99':>9s} {'total':>11s}",
-        ]
-        for name, histogram in self.stages.items():
-            d = histogram.summary()
-            lines.append(
-                f"{name:38s} {stage_kind(name):>8s} {d['count']:7d} "
-                f"{d['mean'] / 1000.0:9.2f} {d['p50'] / 1000.0:9.2f} "
-                f"{d['p99'] / 1000.0:9.2f} "
-                f"{sum(histogram.samples) / 1000.0:11.1f}")
-        d = self.end_to_end.summary()
-        lines.append(
-            f"{END_TO_END:38s} {'':>8s} {d['count']:7d} "
-            f"{d['mean'] / 1000.0:9.2f} {d['p50'] / 1000.0:9.2f} "
-            f"{d['p99'] / 1000.0:9.2f} "
-            f"{sum(self.end_to_end.samples) / 1000.0:11.1f}")
+            ("mean", "p50", "p99"), attributed=True)]
         kinds = self.kind_totals()
         grand = kinds[QUEUEING] + kinds[SERVICE]
         if grand:

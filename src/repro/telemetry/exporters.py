@@ -19,7 +19,7 @@ import json
 import math
 from typing import Any, Dict, List
 
-from .stages import stage_breakdown
+from .attribution import attribute
 
 __all__ = [
     "to_metrics_json",
@@ -64,7 +64,7 @@ def text_report(telemetry: Any, title: str = "") -> str:
     lines: List[str] = []
     if title:
         lines += [title, "=" * len(title), ""]
-    lines.append(stage_breakdown(telemetry.tracer).format())
+    lines.append(attribute(telemetry.tracer).stage_table())
     snapshot = telemetry.registry.snapshot()
     interesting = [name for name in sorted(snapshot)
                    if name.startswith(("stats.", "sidecores.", "ports.",

@@ -25,7 +25,6 @@ from .flight import FlightRecorder
 from .instrument import instrument_testbed
 from .registry import MetricsRegistry
 from .slo import SloProbe, SloSpec
-from .stages import StageBreakdown, stage_breakdown
 from .timeline import DEFAULT_WINDOW_NS, Timeline
 
 __all__ = ["TelemetrySession", "TestbedTelemetry", "bind_testbed",
@@ -113,9 +112,6 @@ class TestbedTelemetry:
 
     def snapshot(self) -> Dict[str, float]:
         return self.registry.snapshot()
-
-    def stages(self) -> StageBreakdown:
-        return stage_breakdown(self.tracer)
 
     def attribution(self) -> LatencyAttribution:
         """Queueing-vs-service latency attribution over every trace."""

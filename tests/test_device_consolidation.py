@@ -3,7 +3,7 @@ by VMs across multiple VMhosts through the paravirtual interface."""
 
 import pytest
 
-from repro.cluster import build_scalability_setup, build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.hw import BlockRequest, make_pcie_ssd
 from repro.sim import ms
 from repro.workloads import FilebenchRandomIO
@@ -11,7 +11,8 @@ from repro.workloads import FilebenchRandomIO
 
 def test_one_ssd_shared_across_vmhosts():
     """VMs on different VMhosts all reach the same physical drive."""
-    tb = build_scalability_setup(n_vmhosts=2, vms_per_host=2, workers=2)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="scalability",
+                                   n_vmhosts=2, vms_per_host=2, sidecores=2))
     ssd = make_pcie_ssd(tb.env, "shared-sx300")
     handles = [tb.model.attach_block_device(vm, ssd) for vm in tb.vms]
     done = []
@@ -32,7 +33,8 @@ def test_shared_ssd_interposition_sees_all_clients():
     """Interposition at the IOhost covers every consumer of the shared
     drive — the property SANs lose (§3)."""
     from repro.interpose import Meter
-    tb = build_scalability_setup(n_vmhosts=2, vms_per_host=1, workers=2)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="scalability",
+                                   n_vmhosts=2, sidecores=2))
     meter = Meter()
     tb.model.add_interposer(meter)
     ssd = make_pcie_ssd(tb.env, "shared")
@@ -51,7 +53,8 @@ def test_shared_ssd_interposition_sees_all_clients():
 
 def test_shared_ssd_aggregate_bandwidth_bounded_by_media():
     """Many concurrent readers cannot exceed the drive's 21.6 Gbps."""
-    tb = build_scalability_setup(n_vmhosts=4, vms_per_host=2, workers=4)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="scalability",
+                                   n_vmhosts=4, vms_per_host=2, sidecores=4))
     ssd = make_pcie_ssd(tb.env, "shared")
     workloads = []
     for i, vm in enumerate(tb.vms):
@@ -70,7 +73,8 @@ def test_shared_ssd_aggregate_bandwidth_bounded_by_media():
 
 def test_per_client_fairness_on_shared_drive():
     """Steering keys are per (client, device): no client starves."""
-    tb = build_scalability_setup(n_vmhosts=2, vms_per_host=2, workers=2)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="scalability",
+                                   n_vmhosts=2, vms_per_host=2, sidecores=2))
     ssd = make_pcie_ssd(tb.env, "shared")
     workloads = []
     for i, vm in enumerate(tb.vms):
@@ -89,8 +93,8 @@ def test_elvis_cannot_share_a_drive_across_hosts():
     """The contrast: an Elvis drive is captive to its own VMhost — a VM
     on another host has no path to it (separate model instances, separate
     hosts).  vRIO's consolidation is the paper's answer."""
-    from repro.cluster import build_consolidation_setup
-    tb = build_consolidation_setup("elvis", n_vmhosts=2, vms_per_host=1)
+    tb = build_testbed(TestbedSpec(model="elvis", topology="consolidation",
+                                   n_vmhosts=2, vms_per_host=1))
     ssd = make_pcie_ssd(tb.env, "host0-local")
     # Attaching host 0's drive to host 1's VM would require host 1's
     # model instance — which has no access to host 0's hardware.  The

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.guest import GuestScheduler
 from repro.hw import Core
 from repro.iomodels.dynamic import DynamicSidecoreAllocator
@@ -11,7 +11,7 @@ from repro.workloads import FilebenchRandomIO, Memslap
 
 
 def make_dynamic_setup(n_vms, spare=1):
-    tb = build_simple_setup("elvis", n_vms)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=n_vms))
     spares = [Core(tb.env, f"vmhost0/spare{i}", tb.costs.vmhost_ghz,
                    poll_mode=True,
                    poll_dispatch_ns=tb.costs.poll_dispatch_ns)
@@ -22,7 +22,7 @@ def make_dynamic_setup(n_vms, spare=1):
 
 
 def test_threshold_validation():
-    tb = build_simple_setup("elvis", 1)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=1))
     with pytest.raises(ValueError):
         DynamicSidecoreAllocator(tb.env, tb.model, [], grow_threshold=0.2,
                                  shrink_threshold=0.5)
@@ -46,7 +46,7 @@ def test_heavy_load_grows_sidecores():
 
 def test_growth_improves_throughput():
     def tps(dynamic):
-        tb = build_simple_setup("elvis", 7)
+        tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=7))
         if dynamic:
             spares = [Core(tb.env, "vmhost0/spare0", tb.costs.vmhost_ghz,
                            poll_mode=True,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.hw import BlockRequest
 from repro.sim import ms
 
@@ -11,7 +11,7 @@ BLOCK_MODELS = ("baseline", "elvis", "vrio", "vrio_nopoll")
 
 
 def run_request_response(model_name, n_vms=1, requests=5):
-    tb = build_simple_setup(model_name, n_vms=n_vms)
+    tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=n_vms))
     env = tb.env
     port, client = tb.ports[0], tb.clients[0]
     received = []
@@ -50,7 +50,7 @@ def test_message_sizes_preserved(model_name):
 @pytest.mark.parametrize("model_name", ALL_MODELS)
 def test_multiple_vms_isolated(model_name):
     """Traffic addressed to VM i arrives only at VM i."""
-    tb = build_simple_setup(model_name, n_vms=3)
+    tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=3))
     env = tb.env
     got = {i: [] for i in range(3)}
     for i, port in enumerate(tb.ports):
@@ -65,7 +65,8 @@ def test_multiple_vms_isolated(model_name):
 
 @pytest.mark.parametrize("model_name", BLOCK_MODELS)
 def test_block_read_write_completes(model_name):
-    tb = build_simple_setup(model_name, n_vms=1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
     done = []
 
@@ -86,7 +87,8 @@ def test_block_read_write_completes(model_name):
 def test_block_latency_ordering(model_name):
     """Remote (vRIO) block I/O must be slower than local sidecore block I/O
     but all models must complete within a sane bound."""
-    tb = build_simple_setup(model_name, n_vms=1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
 
     def proc(env):
@@ -106,7 +108,8 @@ def test_block_latency_ordering(model_name):
 
 def test_vrio_remote_block_slower_than_elvis_local():
     def one(model_name):
-        tb = build_simple_setup(model_name, n_vms=1, with_clients=False)
+        tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=1,
+                                       with_clients=False))
         handle = tb.attach_ramdisk(tb.vms[0])
 
         def proc(env):
@@ -164,7 +167,7 @@ def test_interposition_cost_slows_vrio_traffic():
     from repro.interpose import AesEncryption
 
     def latency(with_aes):
-        tb = build_simple_setup("vrio", n_vms=1)
+        tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
         if with_aes:
             tb.model.add_interposer(AesEncryption())
         port, client = tb.ports[0], tb.clients[0]
@@ -180,7 +183,7 @@ def test_interposition_cost_slows_vrio_traffic():
 
 def test_firewall_interposer_blocks_traffic():
     from repro.interpose import Firewall
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     tb.model.add_interposer(Firewall(rules=[lambda m: m.size_bytes < 1000]))
     port, client = tb.ports[0], tb.clients[0]
     got = []

@@ -3,7 +3,7 @@ invariants."""
 
 import pytest
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.guest import Vm
 from repro.hw import Core, Nic
 from repro.iomodels import (
@@ -81,9 +81,9 @@ def test_baseline_rings_keep_kicks():
 
 
 def test_baseline_port_carries_dilation():
-    tb = build_simple_setup("baseline", 1)
+    tb = build_testbed(TestbedSpec(model="baseline", vms_per_host=1))
     assert tb.ports[0].app_dilation > 1.0
-    tb2 = build_simple_setup("elvis", 1)
+    tb2 = build_testbed(TestbedSpec(model="elvis", vms_per_host=1))
     assert tb2.ports[0].app_dilation == 1.0
 
 
@@ -113,14 +113,14 @@ def test_vrio_names_by_poll_mode():
 def test_vrio_t_and_f_are_distinct_addresses():
     """§4.6: the transport (T) and front-end (F) interfaces have different
     MACs — the split that enables migration."""
-    tb = build_simple_setup("vrio", 1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     client = tb.model.client_of(tb.vms[0])
     assert client.t_vf.mac is not client.f_fn.mac
     assert tb.ports[0].mac is client.f_fn.mac  # F is the public identity
 
 
 def test_vrio_double_attach_rejected():
-    tb = build_simple_setup("vrio", 1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     client = tb.model.client_of(tb.vms[0])
     with pytest.raises(ValueError):
         tb.model.attach_vm(tb.vms[0], client.channel, tb.iohost.nics[1])
@@ -133,7 +133,8 @@ def test_vrio_rejects_bad_steering_policy():
 
 
 def test_vrio_block_devices_get_unique_ids():
-    tb = build_simple_setup("vrio", 1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1,
+                                   with_clients=False))
     h1 = tb.attach_ramdisk(tb.vms[0])
     h2 = tb.attach_ramdisk(tb.vms[0])
     assert h1.device_id != h2.device_id

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.sim import RngRegistry, ms
 from repro.workloads import OpenLoopRR, bounded_pareto
 
@@ -16,7 +16,7 @@ def make_gen(tb, rng, **kw):
 
 
 def run_openloop(seed=7, run_ns=ms(10), **kw):
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     gen = make_gen(tb, RngRegistry(seed), **kw)
     tb.env.run(until=run_ns)
     return gen
@@ -72,7 +72,7 @@ def test_replay_is_bit_identical():
 # ---------------------------------------------------------------------------
 
 def test_diurnal_curve_modulates_rate():
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     gen = make_gen(tb, RngRegistry(0), users=10, rate_per_user_hz=100.0,
                    diurnal_amplitude=0.5, diurnal_period_ns=1_000_000)
     base = 10 * 100.0
@@ -83,7 +83,7 @@ def test_diurnal_curve_modulates_rate():
 
 
 def test_burst_state_doubles_rate():
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     gen = make_gen(tb, RngRegistry(0), users=10, burst_factor=2.0)
     calm = gen.rate_hz(0)
     gen._burst_state = 1
@@ -123,6 +123,6 @@ def test_bounded_pareto_stays_in_bounds_and_is_heavy_tailed():
     {"size_low": 4_096, "size_high": 64},
 ])
 def test_generator_validation(kw):
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     with pytest.raises(ValueError):
         make_gen(tb, RngRegistry(0), **kw)

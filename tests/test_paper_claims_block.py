@@ -3,14 +3,15 @@
 
 import pytest
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.experiments import run_fig16a, run_fig16b
 from repro.sim import ms
 from repro.workloads import FilebenchRandomIO
 
 
 def filebench_ops(model, n_vms, readers, writers, run_ns=ms(30)):
-    tb = build_simple_setup(model, n_vms, with_clients=False)
+    tb = build_testbed(TestbedSpec(model=model, vms_per_host=n_vms,
+                                   with_clients=False))
     workloads = []
     for i, vm in enumerate(tb.vms):
         handle = tb.attach_ramdisk(vm)

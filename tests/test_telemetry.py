@@ -6,13 +6,13 @@ from unittest import mock
 
 import pytest
 
-from repro.sim import Environment, Tracer
+from repro.sim import Environment, Histogram, Tracer
 from repro.telemetry import (
     FlightRecorder,
+    LatencyAttribution,
     MetricsRegistry,
-    StageBreakdown,
     TelemetrySession,
-    stage_breakdown,
+    text_report,
     to_chrome_trace_json,
     to_metrics_csv,
     to_metrics_json,
@@ -162,19 +162,18 @@ def test_trace_markers_order_and_span_ends():
 
 def test_stage_sums_equal_end_to_end_exactly():
     """Stages tile each trace's marker range: sums match with no rounding."""
-    breakdown = StageBreakdown()
+    attribution = LatencyAttribution()
     markers = [(0, "guest_tx"), (137, "service"),
                (450, "service_end"), (991, "guest_deliver")]
-    breakdown.add_trace(markers)
-    summary = breakdown.summarize()
-    stage_sum = sum(summary[s]["mean"] for s in summary if s != "end_to_end")
-    assert stage_sum == summary["end_to_end"]["mean"] == 991
+    attribution.add_trace("r", markers)
+    stage_sum = sum(sum(h.samples) for h in attribution.stages.values())
+    assert stage_sum == sum(attribution.end_to_end.samples) == 991
     # Span interval is named after the span; hops are arrow-joined.
-    assert set(breakdown.stages) == {
-        "guest_tx→service", "service", "service_end→guest_deliver"}
+    assert list(attribution.stages) == [
+        "guest_tx→service", "service", "service_end→guest_deliver"]
 
 
-def test_stage_breakdown_on_real_scenario_tiles_exactly():
+def test_stage_table_on_real_scenario_tiles_exactly():
     from repro.testing import run_scenario
 
     with TelemetrySession() as session:
@@ -183,23 +182,79 @@ def test_stage_breakdown_on_real_scenario_tiles_exactly():
     tracer = telemetry.tracer
     grouped = trace_markers(tracer)
     assert list(grouped) == tracer.trace_ids()
-    for markers in grouped.values():
+    for trace_id, markers in grouped.items():
         if len(markers) < 2:
             continue
-        single = StageBreakdown()
-        single.add_trace(markers)
-        stage_sum = sum(h.summary()["mean"] * h.summary()["count"]
-                        for h in single.stages.values())
+        single = LatencyAttribution()
+        single.add_trace(trace_id, markers)
+        stage_sum = sum(sum(h.samples) for h in single.stages.values())
         assert stage_sum == markers[-1][0] - markers[0][0]
 
 
-def test_stage_breakdown_format_mentions_counts():
-    breakdown = StageBreakdown()
-    breakdown.add_trace([(0, "a"), (10, "b")])
-    text = breakdown.format()
+def test_stage_table_format_mentions_counts():
+    attribution = LatencyAttribution()
+    attribution.add_trace("r", [(0, "a"), (10, "b")])
+    text = attribution.stage_table()
     assert "1 traced requests" in text
     assert "a→b" in text
-    assert StageBreakdown().format() == "stage breakdown: no traced requests"
+    assert (LatencyAttribution().stage_table()
+            == "stage breakdown: no traced requests")
+
+
+class _ReferenceStageTable:
+    """The stage table as the report rendered it before the attribution
+    took it over, kept verbatim as the byte-for-byte reference."""
+
+    def __init__(self) -> None:
+        self.stages = {}
+        self.end_to_end = Histogram("end_to_end")
+        self.traces = 0
+
+    def add_trace(self, markers) -> None:
+        if len(markers) < 2:
+            return
+        self.traces += 1
+        for (t0, a), (t1, b) in zip(markers, markers[1:]):
+            stage = a if b == f"{a}_end" else f"{a}→{b}"
+            histogram = self.stages.get(stage)
+            if histogram is None:
+                histogram = self.stages[stage] = Histogram(stage)
+            histogram.add(t1 - t0)
+        self.end_to_end.add(markers[-1][0] - markers[0][0])
+
+    def format(self) -> str:
+        if not self.traces:
+            return "stage breakdown: no traced requests"
+        lines = [f"stage latency breakdown ({self.traces} traced requests, us)",
+                 f"{'stage':38s} {'count':>7s} {'mean':>9s} {'p50':>9s} "
+                 f"{'p95':>9s} {'p99':>9s} {'max':>9s}"]
+        rows = list(self.stages.items()) + [("end_to_end", self.end_to_end)]
+        for name, histogram in rows:
+            d = histogram.summary()
+            if d["count"] == 0:
+                lines.append(f"{name:38s} {0:7d}")
+                continue
+            cells = " ".join(f"{d[s] / 1000.0:9.2f}"
+                             for s in ("mean", "p50", "p95", "p99", "max"))
+            lines.append(f"{name:38s} {d['count']:7d} {cells}")
+        return "\n".join(lines)
+
+
+@pytest.mark.parametrize("scenario",
+                         ["apache_vrio", "stream_vrio", "rr_nvme_pt"])
+def test_report_stage_table_matches_reference_bytes(scenario):
+    from repro.testing import run_scenario
+
+    with TelemetrySession() as session:
+        result = run_scenario(scenario, seed=0)
+    telemetry = session.for_testbed(result.testbed)
+    reference = _ReferenceStageTable()
+    for markers in trace_markers(telemetry.tracer).values():
+        reference.add_trace(markers)
+    # rr_nvme_pt traces nothing: its table is the empty-case line.
+    assert (reference.traces == 0) == (scenario == "rr_nvme_pt")
+    stage_table = text_report(telemetry).split("\n\n", 1)[0]
+    assert stage_table == reference.format()
 
 
 # -- flight recorder --------------------------------------------------------

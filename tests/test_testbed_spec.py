@@ -1,15 +1,12 @@
-"""The declarative testbed API: TestbedSpec, build_testbed, and the
-legacy builder shims."""
+"""The declarative testbed API: TestbedSpec and build_testbed."""
+
+import re
 
 import pytest
 
 from repro.cluster import (
     TOPOLOGIES,
     TestbedSpec,
-    build_consolidation_setup,
-    build_scalability_setup,
-    build_simple_setup,
-    build_switched_setup,
     build_testbed,
 )
 from repro.faults import FaultPlan, FaultSpec
@@ -82,30 +79,27 @@ def test_smallest_vrio_channel_mtu_builds_and_runs():
     assert rr.transactions > 0
 
 
-def test_shim_and_spec_runs_are_bit_identical():
-    def transactions(tb):
-        rrs = [NetperfRR(tb.env, tb.clients[i], tb.ports[i], tb.costs,
-                         rng=tb.rng.stream(f"rr-{i}"))
-               for i in range(len(tb.vms))]
-        tb.env.run(until=ms(4))
-        return [r.transactions for r in rrs], tb.stats.snapshot()
-
-    via_shim = transactions(build_simple_setup("vrio", 2, seed=3))
-    via_spec = transactions(build_testbed(
-        TestbedSpec(model="vrio", vms_per_host=2, seed=3)))
-    assert via_shim == via_spec
+COUNT_FIELDS = ("n_vmhosts", "vms_per_host", "sidecores", "n_racks",
+                "n_spines")
 
 
-def test_all_shims_delegate_to_build_testbed():
-    assert build_simple_setup("elvis", 1).spec.model == "elvis"
-    assert build_scalability_setup(n_vmhosts=2).spec.topology == "scalability"
-    assert build_switched_setup().spec.topology == "switched"
-    tb = build_consolidation_setup("vrio", vrio_workers=2)
-    assert tb.spec.topology == "consolidation"
-    assert tb.spec.sidecores == 2
-    # Elvis interprets sidecores as per-host service cores.
-    tb = build_consolidation_setup("elvis", sidecores_per_host=1)
-    assert tb.spec.sidecores == 1 and len(tb.service_cores) == 2
+@pytest.mark.parametrize("value", [1.0, True, "2"])
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_non_int_counts_rejected_before_building(field, value, monkeypatch):
+    import repro.cluster.testbed as testbed_module
+
+    # Any component construction would now fail with a TypeError.
+    monkeypatch.setattr(testbed_module, "Environment", None)
+    spec = TestbedSpec(model="vrio", topology="scalability", **{field: value})
+    message = f"{field} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_testbed(spec)
+
+
+def test_unknown_steering_policy_lists_the_valid_ones():
+    message = "unknown steering policy 'rr'; valid policies: affinity, random"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_testbed(TestbedSpec(model="vrio", steering_policy="rr"))
 
 
 def test_unified_attach_records_devices_and_routes_by_vm():

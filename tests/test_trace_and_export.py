@@ -128,8 +128,8 @@ def test_tracer_format_trace():
 
 def test_vrio_datapath_traces_request_lifecycle():
     """A traced vRIO setup records the hop-by-hop journey of one message."""
-    from repro.cluster import build_simple_setup
-    tb = build_simple_setup("vrio", 1)
+    from repro.cluster import TestbedSpec, build_testbed
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     tracer = Tracer(tb.env)
     tb.model.tracer = tracer
     port, client = tb.ports[0], tb.clients[0]

@@ -3,7 +3,7 @@ re-steering, fallback to local virtio, and block-device fate."""
 
 import pytest
 
-from repro.cluster import build_simple_setup, build_switched_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.hw import BlockRequest, make_ramdisk
 from repro.iomodels.vrio import (
     BlockDeviceError,
@@ -21,7 +21,7 @@ def echo(port, client):
 
 
 def test_switched_setup_works_before_failure():
-    tb = build_switched_setup(n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="switched"))
     received = echo(tb.ports[0], tb.clients[0])
     tb.clients[0].send(tb.ports[0].mac, 64, meta={"phase": "pre"})
     tb.env.run(until=ms(5))
@@ -31,7 +31,7 @@ def test_switched_setup_works_before_failure():
 
 
 def test_iohost_failure_blackholes_traffic():
-    tb = build_switched_setup(n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="switched"))
     received = echo(tb.ports[0], tb.clients[0])
     fail_iohost(tb.model)
     tb.clients[0].send(tb.ports[0].mac, 64)
@@ -42,7 +42,7 @@ def test_iohost_failure_blackholes_traffic():
 def test_fallback_restores_network_reachability():
     """After the IOhost dies, the switch re-steers the F address to the
     VMhost and the client is served by local virtio (§4.6)."""
-    tb = build_switched_setup(n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="switched"))
     received = echo(tb.ports[0], tb.clients[0])
     client_state = tb.model.client_of(tb.vms[0])
 
@@ -65,7 +65,7 @@ def test_fallback_restores_network_reachability():
 
 
 def test_fallback_keeps_f_address():
-    tb = build_switched_setup(n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="switched"))
     port = tb.ports[0]
     mac_before = port.mac
     fail_iohost(tb.model)
@@ -78,7 +78,7 @@ def test_fallback_keeps_f_address():
 
 def test_fallback_pays_trap_and_emulate_costs():
     """The fallback is regular virtio: exits and injections return."""
-    tb = build_switched_setup(n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="switched"))
     received = echo(tb.ports[0], tb.clients[0])
     fail_iohost(tb.model)
     fall_back_to_local_virtio(
@@ -93,7 +93,7 @@ def test_fallback_pays_trap_and_emulate_costs():
 
 
 def test_fallback_requires_switch_port_when_switching():
-    tb = build_switched_setup(n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="switched"))
     with pytest.raises(ValueError):
         fall_back_to_local_virtio(
             tb.model, tb.model.client_of(tb.vms[0]), tb.vmhost_fallback_nic,
@@ -107,7 +107,8 @@ def test_iohost_exclusive_block_device_is_lost():
     from repro.iomodels.costs import DEFAULT_COSTS
     costs = DEFAULT_COSTS.copy(blk_initial_timeout_ns=ms(1),
                                blk_max_retransmissions=2)
-    tb = build_simple_setup("vrio", 1, with_clients=False, costs=costs)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1,
+                                   with_clients=False, costs=costs))
     handle = tb.attach_ramdisk(tb.vms[0])
     fail_iohost(tb.model)
     outcome = []
@@ -128,7 +129,7 @@ def test_iohost_exclusive_block_device_is_lost():
 def test_replica_backed_block_device_recovers():
     """With distributed-storage backing, the fallback re-attaches a local
     replica and block I/O continues."""
-    tb = build_switched_setup(n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="switched"))
     tb.attach_ramdisk(tb.vms[0])
     client_state = tb.model.client_of(tb.vms[0])
     fail_iohost(tb.model)

@@ -4,7 +4,7 @@ independence."""
 
 import pytest
 
-from repro.cluster import build_scalability_setup, build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.hw import Core, Link, Nic, make_ramdisk
 from repro.iomodels.vrio import ControlCommand, live_migrate, switch_transport
 from repro.sim import ms
@@ -23,7 +23,7 @@ def echo_setup(tb, idx=0):
 def test_virtio_transport_still_works():
     """The migration fallback Tvirtio must carry traffic correctly, just
     with trap-and-emulate costs."""
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     client_state = tb.model.client_of(tb.vms[0])
     switch_transport(client_state, "virtio")
     port, client, received = echo_setup(tb)
@@ -37,7 +37,7 @@ def test_virtio_transport_still_works():
 
 
 def test_sriov_transport_is_exitless():
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     port, client, received = echo_setup(tb)
     for i in range(5):
         client.send(port.mac, 64, meta={"seq": i})
@@ -48,7 +48,7 @@ def test_sriov_transport_is_exitless():
 
 def test_virtio_transport_slower_than_sriov():
     def latency(mode):
-        tb = build_simple_setup("vrio", n_vms=1)
+        tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
         switch_transport(tb.model.client_of(tb.vms[0]), mode)
         port, client, received = echo_setup(tb)
         times = []
@@ -61,7 +61,7 @@ def test_virtio_transport_slower_than_sriov():
 
 
 def test_switch_transport_rejects_unknown_mode():
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     with pytest.raises(ValueError):
         switch_transport(tb.model.client_of(tb.vms[0]), "teleport")
 
@@ -71,7 +71,8 @@ def test_switch_transport_rejects_unknown_mode():
 def test_live_migration_between_vmhosts():
     """A VM migrates between two VMhosts sharing the IOhost; traffic keeps
     flowing afterwards and the F address never changes."""
-    tb = build_scalability_setup(n_vmhosts=2, vms_per_host=1, workers=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="scalability",
+                                   n_vmhosts=2))
     model = tb.model
     client_state = model.client_of(tb.vms[0])
     target_channel = model.client_of(tb.vms[1]).channel
@@ -96,7 +97,8 @@ def test_live_migration_between_vmhosts():
 
 
 def test_migration_ends_on_new_channel_vf():
-    tb = build_scalability_setup(n_vmhosts=2, vms_per_host=1, workers=1)
+    tb = build_testbed(TestbedSpec(model="vrio", topology="scalability",
+                                   n_vmhosts=2))
     model = tb.model
     client_state = model.client_of(tb.vms[0])
     old_vf = client_state.t_vf
@@ -114,7 +116,7 @@ def test_migration_ends_on_new_channel_vf():
 def test_control_create_block_device():
     """The I/O hypervisor creates a paravirtual device in the client
     (§4.1: device creation is done via the I/O hypervisor)."""
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     model = tb.model
     client_state = model.client_of(tb.vms[0])
     device = make_ramdisk(tb.env, "admin-disk")
@@ -127,7 +129,7 @@ def test_control_create_block_device():
 
 
 def test_control_destroy_block_device():
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     model = tb.model
     handle = tb.attach_ramdisk(tb.vms[0])
     device_id = handle.device_id
@@ -146,7 +148,7 @@ def test_control_destroy_block_device():
 def test_bare_metal_client_gets_service():
     """A non-virtualized OS with the vRIO driver is a first-class IOclient
     (§5 Heterogeneity: ESXi guest, KVM guest, and bare metal all work)."""
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     model = tb.model
     channel = model.client_of(tb.vms[0]).channel
     external_nic = tb.iohost.nics[1]  # the external NIC built by the testbed
@@ -167,7 +169,7 @@ def test_bare_metal_client_gets_service():
 def test_bare_metal_faster_than_vm_on_same_path():
     """Without virtualization event costs, the bare-metal round trip is
     faster than the VM's on an identical channel."""
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     model = tb.model
     channel = model.client_of(tb.vms[0]).channel
     external_nic = tb.iohost.nics[1]
@@ -193,7 +195,7 @@ def test_interposition_applies_to_bare_metal():
     """Services on the I/O hypervisor cannot be disabled by the IOclient -
     even a bare-metal one (§4.6)."""
     from repro.interpose import Meter
-    tb = build_simple_setup("vrio", n_vms=1)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1))
     meter = Meter()
     tb.model.add_interposer(meter)
     model = tb.model

@@ -3,7 +3,7 @@ the Rx-ring sizing fix."""
 
 import pytest
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.guest import GuestBlockScheduler
 from repro.hw import BlockRequest
 from repro.iomodels.vrio import BlockDeviceError
@@ -12,9 +12,10 @@ from repro.sim import ms, seconds
 
 def run_block_workload(channel_loss=0.0, requests=30, channel_rx_ring=4096,
                        seed=7, run_s=1.2):
-    tb = build_simple_setup("vrio", n_vms=1, with_clients=False,
-                            channel_loss=channel_loss,
-                            channel_rx_ring=channel_rx_ring, seed=seed)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1,
+                                   with_clients=False,
+                                   channel_loss=channel_loss,
+                                   channel_rx_ring=channel_rx_ring, seed=seed))
     handle = tb.attach_ramdisk(tb.vms[0])
     sched = GuestBlockScheduler(tb.env, handle.submit)
     completed = []
@@ -55,8 +56,9 @@ def test_lossy_channel_recovers_all_requests():
 def test_heavy_loss_still_makes_progress():
     """At 40% loss, concurrently issued requests all complete eventually
     (disjoint sectors, so the guest scheduler lets them fly in parallel)."""
-    tb = build_simple_setup("vrio", n_vms=1, with_clients=False,
-                            channel_loss=0.4, seed=11)
+    tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1,
+                                   with_clients=False, channel_loss=0.4,
+                                   seed=11))
     handle = tb.attach_ramdisk(tb.vms[0])
     completed, failed = [], []
 
@@ -110,8 +112,9 @@ def test_tiny_rx_ring_causes_drops_under_burst():
     with a slow I/O hypervisor (window=1, so frames back up behind a busy
     worker) and a burst of concurrent large writes."""
     def drops_with_ring(ring):
-        tb = build_simple_setup("vrio", n_vms=1, with_clients=False,
-                                channel_rx_ring=ring, pump_window=1)
+        tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1,
+                                       with_clients=False,
+                                       channel_rx_ring=ring, pump_window=1))
         handle = tb.attach_ramdisk(tb.vms[0])
 
         def proc(env, k):

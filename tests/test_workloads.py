@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.cluster import build_simple_setup
+from repro.cluster import TestbedSpec, build_testbed
 from repro.hw.storage import SECTOR_BYTES
 from repro.sim import ms
 from repro.workloads import (
@@ -20,7 +20,7 @@ from repro.workloads import filebench
 
 
 def test_netperf_rr_measures_latency():
-    tb = build_simple_setup("optimum", 1)
+    tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
     rr = NetperfRR(tb.env, tb.clients[0], tb.ports[0], tb.costs,
                    warmup_ns=ms(1))
     tb.env.run(until=ms(10))
@@ -30,7 +30,7 @@ def test_netperf_rr_measures_latency():
 
 
 def test_netperf_rr_warmup_excluded():
-    tb = build_simple_setup("optimum", 1)
+    tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
     rr = NetperfRR(tb.env, tb.clients[0], tb.ports[0], tb.costs,
                    warmup_ns=ms(5))
     tb.env.run(until=ms(6))
@@ -39,7 +39,7 @@ def test_netperf_rr_warmup_excluded():
 
 
 def test_netperf_stream_throughput_positive():
-    tb = build_simple_setup("optimum", 1)
+    tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
     st = NetperfStream(tb.env, tb.ports[0], tb.clients[0], tb.costs,
                        warmup_ns=ms(2))
     tb.env.run(until=ms(20))
@@ -47,14 +47,14 @@ def test_netperf_stream_throughput_positive():
 
 
 def test_netperf_stream_window_required():
-    tb = build_simple_setup("optimum", 1)
+    tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
     with pytest.raises(ValueError):
         NetperfStream(tb.env, tb.ports[0], tb.clients[0], tb.costs,
                       window_chunks=0)
 
 
 def test_netperf_stream_chunk_math():
-    tb = build_simple_setup("optimum", 1)
+    tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
     st = NetperfStream(tb.env, tb.ports[0], tb.clients[0], tb.costs,
                        message_bytes=64)
     assert st.chunk_bytes == 64 * tb.costs.netperf_stream_msgs_per_chunk
@@ -62,7 +62,7 @@ def test_netperf_stream_chunk_math():
 
 
 def test_transactional_round_trips_multiply_messages():
-    tb = build_simple_setup("optimum", 1)
+    tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
     w = TransactionalWorkload(tb.env, tb.clients[0], tb.ports[0], tb.costs,
                               round_trips=3, concurrency=1, warmup_ns=0)
     tb.env.run(until=ms(10))
@@ -73,7 +73,7 @@ def test_transactional_round_trips_multiply_messages():
 
 
 def test_transactional_validation():
-    tb = build_simple_setup("optimum", 1)
+    tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
     with pytest.raises(ValueError):
         TransactionalWorkload(tb.env, tb.clients[0], tb.ports[0], tb.costs,
                               round_trips=0)
@@ -85,7 +85,7 @@ def test_transactional_validation():
 def test_memslap_faster_than_apachebench():
     """Memcached ops are much lighter than HTTP requests."""
     def tps(cls):
-        tb = build_simple_setup("optimum", 1)
+        tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
         w = cls(tb.env, tb.clients[0], tb.ports[0], tb.costs, warmup_ns=ms(2))
         tb.env.run(until=ms(20))
         return w.throughput_tps()
@@ -95,7 +95,7 @@ def test_memslap_faster_than_apachebench():
 
 def test_apachebench_concurrency_increases_throughput():
     def tps(concurrency):
-        tb = build_simple_setup("optimum", 1)
+        tb = build_testbed(TestbedSpec(model="optimum", vms_per_host=1))
         w = ApacheBench(tb.env, tb.clients[0], tb.ports[0], tb.costs,
                         concurrency=concurrency, warmup_ns=ms(2))
         tb.env.run(until=ms(20))
@@ -105,7 +105,8 @@ def test_apachebench_concurrency_increases_throughput():
 
 
 def test_filebench_requires_threads():
-    tb = build_simple_setup("elvis", 1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
     with pytest.raises(ValueError):
         FilebenchRandomIO(tb.env, tb.vms[0], handle,
@@ -113,7 +114,8 @@ def test_filebench_requires_threads():
 
 
 def test_filebench_reader_makes_progress():
-    tb = build_simple_setup("elvis", 1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
     w = FilebenchRandomIO(tb.env, tb.vms[0], handle, tb.rng.stream("x"),
                           tb.costs, readers=1, warmup_ns=ms(2))
@@ -124,7 +126,8 @@ def test_filebench_reader_makes_progress():
 def test_filebench_more_threads_more_throughput_on_remote_disk():
     """With vRIO's long block latency, threads pipeline: 2 threads beat 1."""
     def ops(readers):
-        tb = build_simple_setup("vrio", 1, with_clients=False)
+        tb = build_testbed(TestbedSpec(model="vrio", vms_per_host=1,
+                                       with_clients=False))
         handle = tb.attach_ramdisk(tb.vms[0])
         w = FilebenchRandomIO(tb.env, tb.vms[0], handle, tb.rng.stream("x"),
                               tb.costs, readers=readers, warmup_ns=ms(2))
@@ -135,7 +138,8 @@ def test_filebench_more_threads_more_throughput_on_remote_disk():
 
 
 def test_webserver_personality_reads_files():
-    tb = build_simple_setup("elvis", 1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
     w = WebserverPersonality(tb.env, tb.vms[0], handle, tb.rng.stream("w"),
                              tb.costs, warmup_ns=ms(2))
@@ -147,7 +151,8 @@ def test_webserver_personality_reads_files():
 
 def test_webserver_fileset_statistics():
     """Mean file size must be near the paper's 28 KB."""
-    tb = build_simple_setup("elvis", 1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
     w = WebserverPersonality(tb.env, tb.vms[0], handle, tb.rng.stream("w"),
                              tb.costs)
@@ -193,7 +198,8 @@ def test_webserver_fileset_matches_reference_on_miss_hit_and_rebuild(
     """Memoized or not, the layout and the stream it leaves behind are
     draw-for-draw those of the original lognormvariate loop."""
     monkeypatch.setattr(filebench, "_FILESET_MEMO_ENTRIES", 1)
-    tb = build_simple_setup("elvis", 1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
 
     def webserver(seed):
@@ -233,7 +239,8 @@ def test_fileset_memo_shares_read_only_buffers_within_its_bound(
 
 
 def test_webserver_appends_to_log():
-    tb = build_simple_setup("elvis", 1, with_clients=False)
+    tb = build_testbed(TestbedSpec(model="elvis", vms_per_host=1,
+                                   with_clients=False))
     handle = tb.attach_ramdisk(tb.vms[0])
     w = WebserverPersonality(tb.env, tb.vms[0], handle, tb.rng.stream("w"),
                              tb.costs, warmup_ns=0)
