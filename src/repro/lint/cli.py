@@ -26,8 +26,8 @@ import subprocess
 from pathlib import Path
 from typing import List, Optional
 
-from .framework import (LintResult, default_lint_root, lint_paths,
-                        select_rules)
+from .framework import (LintResult, ProjectLinter, default_lint_root,
+                        lint_paths, select_rules)
 from .report import render_json, render_rule_list, render_text
 
 __all__ = ["add_lint_arguments", "run_lint", "lint_tree", "changed_paths"]
@@ -127,10 +127,13 @@ def lint_tree(paths: Optional[List[Path]] = None,
 
     if only is not None:
         project = bool(select_rules(only, ProjectRule))
-    per_file = lint_paths(paths=paths or None, only=only)
     if not project:
-        return per_file
-    analysis = build_project(use_cache=use_cache, cache_dir=cache_dir)
+        return lint_paths(paths=paths, only=only)
+    # The whole tree: one parse per file feeds both layers.
+    linter = ProjectLinter(only=only) if paths is None else None
+    analysis = build_project(use_cache=use_cache, cache_dir=cache_dir,
+                             linter=linter)
+    per_file = linter.run() if linter else lint_paths(paths=paths, only=only)
     return _merge_results(per_file, run_project_rules(analysis, only=only))
 
 

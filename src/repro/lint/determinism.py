@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Optional, Set
 
-from .framework import ENV_MODULES, FileContext, Rule, register_rule
+from .framework import ENV_MODULES, FileContext, Rule, register_rule, walk
 
 __all__ = []  # rules self-register; nothing to export
 
@@ -114,7 +114,7 @@ class UnseededRandomRule(Rule):
         or hash() varies per process, so the draws (open-loop arrivals,
         object sizes, fault schedules) silently stop replaying."""
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            for sub in ast.walk(arg):
+            for sub in walk(arg):
                 if (isinstance(sub, ast.Call)
                         and isinstance(sub.func, ast.Name)
                         and sub.func.id in ("id", "hash")):
@@ -145,7 +145,7 @@ class IdentityOrderingRule(Rule):
             name = func.attr
         if name is None:
             return
-        for sub in ast.walk(node):
+        for sub in walk(node):
             if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                     and sub.func.id in ("id", "hash")):
                 self.report(ctx, sub,
@@ -159,7 +159,7 @@ _JSON_SINKS = {"dump", "dumps", "canonical_json", "canonicalize"}
 
 
 def _contains_sorted(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
+    for sub in walk(node):
         if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                 and sub.func.id == "sorted"):
             return True
@@ -238,7 +238,7 @@ class UnorderedFlowRule(Rule):
         label = _unordered_label(node.iter)
         if label is None or _contains_sorted(node.iter):
             return
-        for sub in self._body_walk(node):
+        for sub in (n for stmt in node.body for n in walk(stmt)):
             if isinstance(sub, ast.AugAssign):
                 self.report(ctx, node,
                             f"loop over {label} accumulates (augmented "
@@ -253,11 +253,6 @@ class UnorderedFlowRule(Rule):
                             f"in construction order; iterate sorted keys so "
                             f"the FIFO tiebreak is reproducible")
                 return
-
-    @staticmethod
-    def _body_walk(node: ast.For):
-        for stmt in node.body:
-            yield from ast.walk(stmt)
 
 
 @register_rule

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Set, Tuple, Union
 
-from .framework import FileContext, Rule, register_rule
+from .framework import FileContext, Rule, register_rule, walk
 
 __all__ = []
 
@@ -83,14 +83,14 @@ def _free_loads(fn: _FuncNode) -> Set[str]:
     loads: Set[str] = set()
     body = fn.body if isinstance(fn.body, list) else [fn.body]
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in walk(stmt):
             if isinstance(node, ast.Name):
                 if isinstance(node.ctx, ast.Load):
                     loads.add(node.id)
                 else:  # Store / Del binds locally
                     bound.add(node.id)
             elif isinstance(node, ast.comprehension):
-                for target in ast.walk(node.target):
+                for target in walk(node.target):
                     if isinstance(target, ast.Name):
                         bound.add(target.id)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -100,7 +100,7 @@ def _free_loads(fn: _FuncNode) -> Set[str]:
 
 
 def _loop_target_names(target: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return {n.id for n in walk(target) if isinstance(n, ast.Name)}
 
 
 def _deferred(roots: Iterable[ast.AST],
@@ -113,7 +113,7 @@ def _deferred(roots: Iterable[ast.AST],
     """
     called: Set[int] = set()
     for root in roots:
-        for sub in ast.walk(root):
+        for sub in walk(root):
             if isinstance(sub, ast.Call):
                 called.add(id(sub.func))
             elif isinstance(sub, kinds) and id(sub) not in called:

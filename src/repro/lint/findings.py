@@ -80,8 +80,10 @@ def _statement_spans(tree: ast.Module) -> List[range]:
     line before the first body statement) so a suppression comment on a
     ``def``/``for``/``if`` line never silences its whole body.
     """
+    from .framework import walk  # framework imports this module
+
     spans: List[range] = []
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if not isinstance(node, ast.stmt):
             continue
         end = getattr(node, "end_lineno", None) or node.lineno

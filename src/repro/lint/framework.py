@@ -11,6 +11,9 @@ Design
   (the def itself, then its body in BFS order, stopping at nested defs,
   which appear as single nodes).  Function-scope rules (SIM402–SIM404)
   read those lists in :meth:`Rule.end_file` instead of re-walking.
+* Every traversal in the package uses :func:`child_nodes`/:func:`walk`:
+  ``ast.iter_child_nodes``/``ast.walk`` order, read from a per-class
+  field table that never visits the ``Load``/``Store``/``Del`` markers.
 * One registry holds every rule: the per-file :class:`Rule` families
   and the whole-program :class:`~repro.lint.project.ProjectRule` family
   (``--project``).  Both runners fold inline suppressions the same way
@@ -27,11 +30,11 @@ and reports via ``self.report(ctx, node, message)``.
 from __future__ import annotations
 
 import ast
-from collections import deque
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Deque, Dict, Iterable, List, Mapping, Optional,
-                    Set, Tuple, Type, TypeVar)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple, Type, TypeVar, Union)
 
 from .findings import (Finding, expand_suppressions, is_suppressed,
                        parse_suppressions)
@@ -54,6 +57,38 @@ Suppressions = Dict[int, Optional[Set[str]]]
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+# node class -> its ``_fields`` that can hold nodes: ``ctx`` and the
+# fields its ASDL signature (the class docstring, e.g.
+# ``Name(identifier id, expr_context ctx)``) declares scalar are left out.
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+_SCALAR_FIELD = re.compile(r"\b(?:identifier|string|int|constant)[*?]? (\w+)")
+
+
+def child_nodes(node: ast.AST) -> List[ast.AST]:
+    """``ast.iter_child_nodes(node)`` without the ``expr_context`` markers."""
+    fields = _CHILD_FIELDS.get(type(node))
+    if fields is None:
+        scalar = set(_SCALAR_FIELD.findall(type(node).__doc__ or ""))
+        fields = _CHILD_FIELDS[type(node)] = tuple(
+            name for name in node._fields
+            if name != "ctx" and name not in scalar)
+    children: List[ast.AST] = []
+    for name in fields:
+        value = getattr(node, name, None)
+        if type(value) is list:
+            children.extend([item for item in value if item is not None])
+        elif value is not None:
+            children.append(value)
+    return children
+
+
+def walk(node: ast.AST) -> List[ast.AST]:
+    """``list(ast.walk(node))`` (breadth first) over :func:`child_nodes`."""
+    nodes = [node]
+    for current in nodes:
+        nodes += child_nodes(current)
+    return nodes
+
 
 @dataclass
 class FileContext:
@@ -65,10 +100,26 @@ class FileContext:
     suppressions: Suppressions = field(default_factory=dict)
     # def node -> its own-scope nodes, filled in by the walk
     scopes: Dict[ast.AST, List[ast.AST]] = field(default_factory=dict)
+    _is_module: Dict[Tuple[str, ...], bool] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def is_module(self, *tails: str) -> bool:
         """True when this file's path ends with any of ``tails``."""
-        return any(self.path.endswith(tail) for tail in tails)
+        hit = self._is_module.get(tails)
+        if hit is None:
+            hit = self._is_module[tails] = self.path.endswith(tails)
+        return hit
+
+
+def parse_file(path: str, source: str) -> Union[FileContext, SyntaxError]:
+    """The one parse of a file: its context, or why it does not parse."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return exc
+    return FileContext(path=path, source=source, tree=tree,
+                       suppressions=expand_suppressions(
+                           tree, parse_suppressions(source)))
 
 
 # Modules allowed to touch the process environment: the command-line
@@ -197,22 +248,23 @@ class ProjectLinter:
 
     def add_source(self, path: str, source: str) -> None:
         """Parse and walk one file, dispatching to every rule."""
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
+        self.add_file(path, parse_file(path, source))
+
+    def add_file(self, path: str,
+                 parsed: Union[FileContext, SyntaxError]) -> None:
+        """Walk one parsed file (see :func:`parse_file`)."""
+        if isinstance(parsed, SyntaxError):
             self._parse_errors.append(Finding(
-                path=path, line=exc.lineno or 1, col=exc.offset or 0,
-                code="SIM000", message=f"file does not parse: {exc.msg}"))
+                path=path, line=parsed.lineno or 1, col=parsed.offset or 0,
+                code="SIM000", message=f"file does not parse: {parsed.msg}"))
             return
-        ctx = FileContext(path=path, source=source, tree=tree,
-                          suppressions=expand_suppressions(
-                              tree, parse_suppressions(source)))
+        ctx = parsed
         self._suppressions[path] = ctx.suppressions
         scopes = ctx.scopes
-        queue: Deque[Tuple[ast.AST, Optional[ast.AST]]] = deque(
-            [(tree, None)])
-        while queue:
-            node, scope = queue.popleft()
+        # Breadth first; owners[i] is the innermost def around nodes[i].
+        nodes: List[ast.AST] = [ctx.tree]
+        owners: List[Optional[ast.AST]] = [None]
+        for node, scope in zip(nodes, owners):
             kind = type(node)
             visitors = self._visitors.get(kind)
             if visitors is None:
@@ -224,8 +276,9 @@ class ProjectLinter:
             if kind in _DEFS:
                 scopes[node] = [node]
                 scope = node
-            queue.extend([(child, scope)
-                          for child in ast.iter_child_nodes(node)])
+            children = child_nodes(node)
+            nodes += children
+            owners += [scope] * len(children)
         for rule in self.rules:
             rule.end_file(ctx)
 
@@ -260,6 +313,17 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
     return sorted(set(out))
 
 
+def read_sources(paths: Iterable[Path],
+                 root: Path) -> Iterator[Tuple[str, str]]:
+    """``(path relative to root, source)`` per file, read one at a time."""
+    for file_path in iter_python_files(paths):
+        try:
+            rel = file_path.resolve().relative_to(root.resolve()).as_posix()
+        except ValueError:
+            rel = file_path.as_posix()
+        yield rel, file_path.read_text(encoding="utf-8")
+
+
 def lint_paths(paths: Optional[Iterable[Path]] = None,
                root: Optional[Path] = None,
                only: Optional[Iterable[str]] = None) -> LintResult:
@@ -268,10 +332,6 @@ def lint_paths(paths: Optional[Iterable[Path]] = None,
     if paths is None:
         paths = [root / "repro"]
     linter = ProjectLinter(only=only)
-    for file_path in iter_python_files(Path(p) for p in paths):
-        try:
-            rel = file_path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            rel = file_path.as_posix()
-        linter.add_source(rel, file_path.read_text(encoding="utf-8"))
+    for rel, source in read_sources((Path(p) for p in paths), root):
+        linter.add_source(rel, source)
     return linter.run()

@@ -13,8 +13,10 @@ Caching
 Per-file, keyed like the PR-3 sweep cache: content address =
 SHA-256 over the extractor version and the file's source, stored as a
 pickle under ``$REPRO_CACHE_DIR`` (or ``.repro_cache/``) in
-``lint_symbols/``.  A warm whole-tree run therefore re-parses nothing —
+``lint_symbols/``.  A warm whole-tree run therefore extracts nothing —
 it unpickles summaries and re-runs only the (cheap) graph analysis.
+Under ``lint --project`` the per-file rules and a cache miss's summary
+share one parse of the file (:func:`build_project` with a ``linter``).
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from .callgraph import (CallGraph, ProjectIndex, build_callgraph,
                         build_index, resolve_callee)
 from .dataflow import run_taint_analysis
 from .findings import Finding
-from .framework import (LintResult, default_lint_root, fold_findings,
-                        iter_python_files, register_rule, select_rules)
-from .symbols import SYMBOLS_VERSION, ModuleSummary, extract_module
+from .framework import (LintResult, ProjectLinter, default_lint_root,
+                        fold_findings, parse_file, read_sources,
+                        register_rule, select_rules)
+from .symbols import (SYMBOLS_VERSION, ModuleSummary, extract_module,
+                      summarize_file)
 
 __all__ = [
     "ProjectAnalysis",
@@ -106,43 +110,39 @@ def _cache_store(cache_dir: Path, digest: str,
 
 def build_project(root: Optional[Path] = None,
                   use_cache: bool = True,
-                  cache_dir: Optional[Path] = None) -> ProjectAnalysis:
-    """Summarize the whole tree (through the cache) and index it."""
+                  cache_dir: Optional[Path] = None,
+                  linter: Optional[ProjectLinter] = None) -> ProjectAnalysis:
+    """Summarize the whole tree (through the cache) and index it.
+
+    One pass over the files: each is read and parsed once, walked by
+    ``linter``'s per-file rules when one is given, and summarized from
+    the same tree on a cache miss.  No tree outlives its file.
+    """
     root = root or default_lint_root()
     cache_dir = cache_dir or default_symbol_cache_dir()
-    files = iter_python_files([root / "repro"])
-
-    sources: Dict[str, str] = {}
-    digests: Dict[str, str] = {}
-    for file_path in files:
-        try:
-            rel = file_path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            rel = file_path.as_posix()
-        source = file_path.read_text(encoding="utf-8")
-        sources[rel] = source
-        digests[rel] = _source_digest(source)
-
     summaries: Dict[str, ModuleSummary] = {}
     hits = 0
-    if use_cache:
-        for rel in sorted(digests):
-            digest = digests[rel]
-            cached = _cache_load(cache_dir, digest)
-            if cached is not None and cached.path == rel:
-                summaries[rel] = cached
-                hits += 1
+    for rel, source in read_sources([root / "repro"], root):
+        digest = _source_digest(source)
+        summary = _cache_load(cache_dir, digest) if use_cache else None
+        if summary is not None and summary.path == rel:
+            hits += 1
+            if linter is not None:
+                linter.add_source(rel, source)
+        else:
+            parsed = parse_file(rel, source)
+            if linter is not None:
+                linter.add_file(rel, parsed)
+            summary = summarize_file(rel, parsed)
+            del parsed
+            if use_cache:
+                _cache_store(cache_dir, digest, summary)
+        summaries[rel] = summary
 
-    missing = [rel for rel in sorted(sources) if rel not in summaries]
-    for rel in missing:
-        summaries[rel] = extract_module(rel, sources[rel])
-        if use_cache:
-            _cache_store(cache_dir, digests[rel], summaries[rel])
-
-    index = build_index(summaries)
+    index = build_index(dict(sorted(summaries.items())))
     graph = build_callgraph(index)
     return ProjectAnalysis(index=index, graph=graph, cache_hits=hits,
-                           cache_misses=len(missing))
+                           cache_misses=len(summaries) - hits)
 
 
 def build_project_from_sources(files: Mapping[str, str]) -> ProjectAnalysis:
@@ -264,17 +264,14 @@ class LedgerFlowRule(ProjectRule):
         # Class-cohesive flow: a field read anywhere in a class whose
         # methods reach a charge counts (e.g. stored by __init__, spent
         # by a later method).
-        cohort: Dict[str, List[str]] = {}
-        for fnkey in index.functions:
-            path, qualname = fnkey.split("::", 1)
-            owner = f"{path}::{qualname.split('.', 1)[0]}" \
-                if "." in qualname else fnkey
-            cohort.setdefault(owner, []).append(fnkey)
-
         def _owner(fnkey: str) -> str:
             path, qualname = fnkey.split("::", 1)
             return f"{path}::{qualname.split('.', 1)[0]}" \
                 if "." in qualname else fnkey
+
+        cohort: Dict[str, List[str]] = {}
+        for fnkey in index.functions:
+            cohort.setdefault(_owner(fnkey), []).append(fnkey)
 
         # CHARGERS: every function whose forward closure contains a
         # charge/time sink (one reverse BFS from the sinkers).

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from .findings import expand_suppressions, parse_suppressions
+from .framework import FileContext, child_nodes, parse_file, walk
 
 __all__ = [
     "SYMBOLS_VERSION",
@@ -239,7 +239,7 @@ class _FunctionExtractor:
             result = {f"RET:{index}"} if index is not None else set()
             return result | receiver
         if isinstance(node, ast.Lambda):
-            self._walk_expr(node.body)
+            self.origins_of(node.body)
             return set()
         if isinstance(node, (ast.BinOp, ast.BoolOp, ast.Compare, ast.IfExp,
                              ast.UnaryOp, ast.Subscript, ast.Starred,
@@ -247,7 +247,7 @@ class _FunctionExtractor:
                              ast.JoinedStr, ast.FormattedValue, ast.Await,
                              ast.Yield, ast.YieldFrom, ast.NamedExpr)):
             out: Set[str] = set()
-            for child in ast.iter_child_nodes(node):
+            for child in child_nodes(node):
                 if isinstance(child, (ast.expr, ast.keyword)):
                     value = child.value if isinstance(child, ast.keyword) \
                         else child
@@ -262,7 +262,7 @@ class _FunctionExtractor:
                     # scope — seed origins but record no assignment.
                     self.env[name] = set(iter_origins)
             out = set()
-            for child in ast.walk(node):
+            for child in walk(node):
                 if isinstance(child, ast.Call) and child is not node:
                     self.origins_of(child)
             if isinstance(node, ast.DictComp):
@@ -284,7 +284,7 @@ class _FunctionExtractor:
         chain = _dotted_chain(node.func)
         if chain is None:
             if isinstance(node.func, ast.Lambda):
-                self._walk_expr(node.func.body)
+                self.origins_of(node.func.body)
             for arg in node.args:
                 self.origins_of(arg)
             for kw in node.keywords:
@@ -332,7 +332,7 @@ class _FunctionExtractor:
         """Names a lambda wrapper forwards to (reference edges)."""
         bound = {a.arg for a in node.args.args + node.args.kwonlyargs}
         refs: List[str] = []
-        for child in ast.walk(node.body):
+        for child in walk(node.body):
             if isinstance(child, ast.Name) and child.id not in bound:
                 refs.append(child.id)
         return refs
@@ -376,7 +376,7 @@ class _FunctionExtractor:
             return []
         free: List[str] = []
         for expr in body:
-            for child in ast.walk(expr):
+            for child in walk(expr):
                 if isinstance(child, ast.Name) \
                         and isinstance(child.ctx, ast.Load) \
                         and child.id not in bound \
@@ -396,9 +396,6 @@ class _FunctionExtractor:
                         variable=var, mutated_at=min(later)))
 
     # -- statements ---------------------------------------------------------
-
-    def _walk_expr(self, node: ast.AST) -> None:
-        self.origins_of(node)
 
     def walk_body(self, body: List[ast.stmt]) -> None:
         for stmt in body:
@@ -428,9 +425,9 @@ class _FunctionExtractor:
             if origins:
                 self.summary.returns.append(frozenset(origins))
         elif isinstance(stmt, ast.Expr):
-            self._walk_expr(stmt.value)
+            self.origins_of(stmt.value)
         elif isinstance(stmt, (ast.If, ast.While)):
-            self._walk_expr(stmt.test)
+            self.origins_of(stmt.test)
             self.walk_body(stmt.body)
             self.walk_body(stmt.orelse)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -450,27 +447,25 @@ class _FunctionExtractor:
             self.walk_body(stmt.orelse)
             self.walk_body(stmt.finalbody)
         elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(stmt):
+            for child in child_nodes(stmt):
                 if isinstance(child, ast.expr):
-                    self._walk_expr(child)
+                    self.origins_of(child)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested def: record which enclosing locals it reads so a
             # later by-name subscription can run the SIM603 check.
-            params = {a.arg for a in stmt.args.args + stmt.args.kwonlyargs}
-            local = set(params)
-            free: List[str] = []
-            for child in ast.walk(stmt):
+            local = {a.arg for a in stmt.args.args + stmt.args.kwonlyargs}
+            loads: List[str] = []
+            for child in walk(stmt):
                 if isinstance(child, (ast.Assign, ast.AugAssign)):
                     targets = child.targets if isinstance(
                         child, ast.Assign) else [child.target]
                     for target in targets:
                         local.update(_target_names(target))
-            for child in ast.walk(stmt):
-                if isinstance(child, ast.Name) \
-                        and isinstance(child.ctx, ast.Load) \
-                        and child.id not in local and child.id not in free:
-                    free.append(child.id)
-            self._nested_free[stmt.name] = tuple(free)
+                elif isinstance(child, ast.Name) \
+                        and isinstance(child.ctx, ast.Load):
+                    loads.append(child.id)
+            self._nested_free[stmt.name] = tuple(dict.fromkeys(
+                name for name in loads if name not in local))
             self.env.setdefault(stmt.name, set())
 
     def _note_stored_refs(self, value: ast.AST) -> None:
@@ -537,17 +532,21 @@ def _resolve_relative(module: str, is_package: bool, level: int,
 
 def extract_module(path: str, source: str) -> ModuleSummary:
     """Parse one file and distill it into a :class:`ModuleSummary`."""
+    return summarize_file(path, parse_file(path, source))
+
+
+def summarize_file(path: str, parsed: Union[FileContext, SyntaxError]
+                   ) -> ModuleSummary:
+    """Distill one :func:`~repro.lint.framework.parse_file` result."""
     module_name = module_name_for(path)
     is_package = path.endswith("__init__.py")
     summary = ModuleSummary(path=path, module=module_name)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        summary.parse_error = (exc.lineno or 1, exc.offset or 0,
-                               exc.msg or "syntax error")
+    if isinstance(parsed, SyntaxError):
+        summary.parse_error = (parsed.lineno or 1, parsed.offset or 0,
+                               parsed.msg or "syntax error")
         return summary
-    summary.suppressions = expand_suppressions(
-        tree, parse_suppressions(source))
+    tree = parsed.tree
+    summary.suppressions = parsed.suppressions
     is_rng_home = path.endswith(RNG_HOME)
 
     for stmt in tree.body:
@@ -615,7 +614,7 @@ def extract_module(path: str, source: str) -> ModuleSummary:
 def _extract_nested(summary: ModuleSummary, parent_qual: str,
                     node: ast.AST, is_rng_home: bool) -> None:
     """Register nested defs as ``outer.inner`` functions (one level)."""
-    for stmt in ast.walk(node):
+    for stmt in walk(node):
         if stmt is node:
             continue
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -417,6 +417,111 @@ def test_retired_lint_options_are_usage_errors(args):
     assert f"unrecognized arguments: {args[0]}" in proc.stderr
 
 
+def test_lint_tree_empty_paths_checks_no_files():
+    # An empty path list (``--changed`` with nothing changed) means no
+    # files, not the whole tree.
+    assert lint_tree(paths=[]).files_checked == 0
+
+
+# ---------------------------------------------------------------------------
+# The shared walker: ast.walk / ast.iter_child_nodes minus the ctx markers.
+# ---------------------------------------------------------------------------
+
+# Syntax the tree may not use, so every node class the walker can meet
+# is covered at least once.
+_SYNTAX_SAMPLER = """\
+from __future__ import annotations
+import os.path as osp, sys
+from . import sibling
+global_name: int = 1
+@decorator(arg, *rest, key=1, **extra)
+async def coroutine(a, /, b: int = 2, *args, c, d=3, **kwargs) -> None:
+    global global_name
+    async with lock as (x, [y, *z]):
+        async for item in stream:
+            await item
+    del a[1:2, ::3], b.attr
+    x += 1; y @= z; w = yield; v = yield from gen
+    nonlocal_free = lambda q, *r, s=1, **t: (q, r, s, t)
+    print(f"{x!r:>{width}} {y=}", {**d, 'k': 1}, {1, 2}, [*a], -x, not y)
+    assert x is not y and x in y or x < y <= z, "message"
+    raise ValueError("bad") from None
+class Klass(Base, metaclass=Meta):
+    attr: list[int]
+    def method(self):
+        try:
+            pass
+        except* (TypeError, ValueError) as group:
+            raise
+        else:
+            return {k: v for k, v in self.items() if k if v}
+        finally:
+            (gen for gen in range(3)), [i async for i in aiter()]
+        while (n := next(it)) is not None:
+            break
+        else:
+            continue
+def matcher(command):
+    match command:
+        case [1, *rest] | {"key": 2, **others}:
+            pass
+        case Point(x=0, y=_) as point if point:
+            pass
+        case None | "text" | -1 | 1 + 2j:
+            pass
+"""
+
+
+def _walked_files():
+    for root in (SRC_ROOT / "repro", FIXTURES):
+        for path in sorted(root.rglob("*.py")):
+            yield path.as_posix(), path.read_text(encoding="utf-8")
+    if sys.version_info >= (3, 11):  # match and except* syntax
+        yield "syntax-sampler", _SYNTAX_SAMPLER
+
+
+def test_walker_matches_ast_walk_without_ctx_markers():
+    import ast
+
+    from repro.lint.framework import child_nodes, walk
+
+    def drop_ctx(nodes):
+        return [n for n in nodes if not isinstance(n, ast.expr_context)]
+
+    for label, source in _walked_files():
+        tree = ast.parse(source)
+        walked = list(walk(tree))
+        expected = drop_ctx(ast.walk(tree))
+        assert len(walked) == len(expected), label
+        assert all(a is b for a, b in zip(walked, expected)), label
+        for node in walked:
+            children = child_nodes(node)
+            expected = drop_ctx(ast.iter_child_nodes(node))
+            assert len(children) == len(expected), (label, node)
+            assert all(a is b for a, b in zip(children, expected)), \
+                (label, node)
+
+
+def test_lint_package_has_one_walker():
+    # Every traversal in repro.lint goes through framework.child_nodes /
+    # framework.walk; the generic ast walkers must not creep back.
+    import ast
+
+    banned = {"walk", "iter_child_nodes"}
+    uses = []
+    for path in sorted((SRC_ROOT / "repro" / "lint").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in banned \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "ast":
+                uses.append(f"{path.name}:{node.lineno} ast.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "ast":
+                uses += [f"{path.name}:{node.lineno} from ast import "
+                         f"{alias.name}" for alias in node.names
+                         if alias.name in banned]
+    assert uses == []
+
+
 # ---------------------------------------------------------------------------
 # SIM303 boundaries: the kernel and an object's own state are exempt.
 # ---------------------------------------------------------------------------

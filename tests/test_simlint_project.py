@@ -195,6 +195,26 @@ def test_cache_warm_run_equivalent_and_all_hits(tmp_path, monkeypatch):
     assert sorted(cold.summaries) == sorted(warm.summaries)
 
 
+def test_cold_project_lint_parses_each_file_once(monkeypatch):
+    # lint --project: the per-file rules and the symbol summaries share
+    # one parse per file.
+    import ast
+
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    result = lint_tree(project=True, use_cache=False)
+    files = sorted((default_lint_root() / "repro").rglob("*.py"))
+    assert result.files_checked == len(files)
+    assert sorted(parsed) == sorted(set(parsed))
+    assert len(parsed) == len(files)
+
+
 def test_cache_survives_corrupt_entries(tmp_path):
     cache_dir = tmp_path / "lint_symbols"
     build_project(cache_dir=cache_dir)
