@@ -10,8 +10,8 @@ real hardware.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = [
     "MacAddress",
@@ -71,9 +71,7 @@ class EthernetFrame:
     payload: Any
     payload_bytes: int
     kind: str = "data"
-    trace_id: Optional[int] = None
     created_ns: int = 0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.payload_bytes < 0:

@@ -13,7 +13,11 @@ The core concepts:
   until the yielded event triggers; the event's value becomes the result of
   the ``yield`` expression.  A process is itself an event that triggers when
   the generator returns (with the generator's return value).
-* :class:`Timeout` is an event that triggers after a fixed delay.
+* :func:`Timeout` builds an event that triggers after a fixed delay.  It
+  is a plain :class:`Event` with its ``delay`` set, not a subclass: the
+  run loops and :class:`Process` read and write the same slots on every
+  item, and CPython caches those accesses per exact type, so timers and
+  triggered events share one class (DESIGN §11).
 
 Scheduler
 ---------
@@ -100,9 +104,12 @@ class Event:
     does not allocate a list per event.  Use :meth:`add_callback`,
     :meth:`prepend_callback` and :meth:`_discard_callback` to manage them;
     the :attr:`callbacks` view is read-only.
+
+    ``delay`` is the delay a :func:`Timeout` was built with, and ``None``
+    for every event that is not a timer.
     """
 
-    __slots__ = ("env", "_cb0", "_cbs", "_value", "_state", "_ok")
+    __slots__ = ("env", "_cb0", "_cbs", "_value", "_state", "_ok", "delay")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -111,6 +118,7 @@ class Event:
         self._value: Any = None
         self._state = _PENDING
         self._ok = True
+        self.delay: Optional[int] = None
 
     # -- inspection --------------------------------------------------------
 
@@ -220,31 +228,36 @@ class Event:
                 pass
 
 
-class Timeout(Event):
-    """An event that triggers ``delay`` nanoseconds in the future."""
+def Timeout(env: "Environment", delay: int, value: Any = None) -> Event:
+    """An event that triggers ``delay`` nanoseconds in the future.
 
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: int, value: Any = None) -> None:
+    A factory, not a subclass: the timer is a plain :class:`Event` with
+    ``delay`` set, born triggered and pushed onto the timer heap, or onto
+    the ready deque for a zero delay.  Its fields are set inline because
+    timers are the per-packet allocation hot spot.
+    """
+    try:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__: timeouts are the per-packet allocation
-        # hot spot, and they are born triggered.
-        self.env = env
-        self._cb0 = None
-        self._cbs = None
-        self._value = value
-        self._state = _TRIGGERED
-        self._ok = True
-        self.delay = delay
-        if delay:
-            if delay.__class__ is not int:
-                delay = _integer_delay(delay)
-            seq = env._seq + 1
-            env._seq = seq
-            heappush(env._heap, (env._now + delay, seq, self))
-        else:
-            env._ready.append(self)
+    except TypeError:
+        raise _not_integer_ns(delay) from None
+    event = object.__new__(Event)
+    event.env = env
+    event._cb0 = None
+    event._cbs = None
+    event._value = value
+    event._state = _TRIGGERED
+    event._ok = True
+    event.delay = delay
+    if delay:
+        if delay.__class__ is not int:
+            delay = _integer_delay(delay)
+        seq = env._seq + 1
+        env._seq = seq
+        heappush(env._heap, (env._now + delay, seq, event))
+    else:
+        env._ready.append(event)
+    return event
 
 
 class Process(Event):
@@ -266,6 +279,7 @@ class Process(Event):
         self._value = None
         self._state = _PENDING
         self._ok = True
+        self.delay = None
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
@@ -303,11 +317,17 @@ class Process(Event):
             else:
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            # Event.succeed, inlined: _state was checked above, and
+            # keeping processes out of succeed leaves it one class.
+            self._value = stop.value
+            self._state = _TRIGGERED
+            self.env._ready.append(self)
             return
         except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
-            self.succeed(None)
+            # An unhandled interrupt terminates the process quietly;
+            # its _value is still the None it was born with.
+            self._state = _TRIGGERED
+            self.env._ready.append(self)
             return
         if not isinstance(target, Event) or target.env is not self.env:
             self._reject(target)
@@ -332,10 +352,13 @@ class Process(Event):
             else:
                 target = self.generator.send(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._value = stop.value
+            self._state = _TRIGGERED
+            self.env._ready.append(self)
             return
         except Interrupt:
-            self.succeed(None)
+            self._state = _TRIGGERED
+            self.env._ready.append(self)
             return
         if not isinstance(target, Event) or target.env is not self.env:
             self._reject(target)
@@ -490,9 +513,13 @@ class Environment:
         if delay:
             if delay.__class__ is not int:
                 delay = _integer_delay(delay)
+            if delay < 0:
+                raise SimulationError(f"negative call_soon delay: {delay}")
             seq = self._seq + 1
             self._seq = seq
             heappush(self._heap, (self._now + delay, seq, fn))
+        elif delay is None:
+            raise _not_integer_ns(delay)
         else:
             self._ready.append(fn)
 
@@ -503,7 +530,11 @@ class Environment:
         campaign phase marks — that are specified in wall-clock simulation
         time rather than relative to the caller.
         """
-        if at_ns < self._now:
+        try:
+            behind = at_ns < self._now
+        except TypeError:
+            raise _not_integer_ns(at_ns, "time") from None
+        if behind:
             raise SimulationError(
                 f"cannot schedule at {at_ns} ns; clock is at {self._now} ns")
         self.call_soon(fn, delay=at_ns - self._now)
@@ -514,7 +545,7 @@ class Environment:
         """Create a fresh pending event."""
         return Event(self)
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
+    def timeout(self, delay: int, value: Any = None) -> Event:
         """Create an event that triggers ``delay`` ns from now."""
         return Timeout(self, delay, value)
 
@@ -746,5 +777,10 @@ def _integer_delay(delay: Any) -> int:
     try:
         return operator.index(delay)
     except TypeError:
-        raise SimulationError(
-            f"delay must be an integer number of ns, got {delay!r}") from None
+        raise _not_integer_ns(delay) from None
+
+
+def _not_integer_ns(value: Any, what: str = "delay") -> SimulationError:
+    """The error for a delay or time that is not an integer count of ns."""
+    return SimulationError(
+        f"{what} must be an integer number of ns, got {value!r}")

@@ -27,7 +27,9 @@ def _describe(item: Any) -> Tuple[str, str]:
     if name is not None and hasattr(item, "generator"):
         return "process", str(name)
     if hasattr(item, "callbacks"):
-        return "event", type(item).__name__
+        # A timer is a plain Event with its delay set.
+        return "event", ("Timeout" if item.delay is not None
+                         else type(item).__name__)
     return "callback", getattr(item, "__name__", "<callable>")
 
 

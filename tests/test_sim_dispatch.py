@@ -9,7 +9,9 @@ give directly:
   events apart from bare callbacks, and ``faults`` output embeds the
   flight recorder's dump, so a kernel change that reaches the same
   metrics through different items (a callback where an event was, a
-  named function where a lambda was) must still fail here.
+  named function where a lambda was) must still fail here.  The same
+  run checks that every dispatched event is exactly an ``Event`` or a
+  ``Process``: timers are plain events, so the run loops see one class.
 * **Per-item cost.** Python-level calls per dispatched item on a small
   fast-loop run, counted with ``sys.setprofile``: into ``repro/sim``
   (the kernel), and into the datapath packages ``repro/hw``,
@@ -28,7 +30,7 @@ import pytest
 
 import repro
 from repro.cluster import TestbedSpec, build_testbed
-from repro.sim import Environment, ms
+from repro.sim import Environment, Event, Process, ms
 from repro.telemetry.flight import _describe
 from repro.testing import run_scenario
 from repro.workloads import ApacheBench
@@ -49,11 +51,11 @@ APACHE_VRIO_STREAM_SHA256 = (
 # in _calls_per_item.  Lower them when a change removes calls; a change
 # that adds one fails here.
 #
-# Into repro/sim: 4.314 with Event.__init__ inlined into Process and
-# Store skipping _admit_putter while no putter waits (4.523 before; 8.78
-# when each wake went through _on_event, _resume, the ok, value and
-# is_alive properties and add_callback).
-SIM_CALLS_PER_ITEM_MAX = 4.315
+# Into repro/sim: 4.208 with a finished process triggering itself
+# inline rather than through Event.succeed (4.314 before; 8.78 when each
+# wake went through _on_event, _resume, the ok, value and is_alive
+# properties and add_callback).
+SIM_CALLS_PER_ITEM_MAX = 4.209
 # Into repro/{hw,net,iomodels,interpose}: 2.971 with fragment counts and
 # zero-copy page counts in closed form and no generator for an empty
 # interposer chain (3.044 before).
@@ -61,16 +63,20 @@ DATAPATH_CALLS_PER_ITEM_MAX = 2.972
 
 
 class _StreamDigest:
-    """Monitor hashing ``(now, *_describe(item))`` for every step."""
+    """Monitor hashing ``(now, *_describe(item))`` for every step, and
+    collecting the exact classes of the dispatched events."""
 
     def __init__(self) -> None:
         self.steps = 0
         self._sha = hashlib.sha256()
+        self.event_classes = set()
 
     def on_step(self, now, item) -> None:
         self.steps += 1
         source, detail = _describe(item)
         self._sha.update(f"{now} {source} {detail}\n".encode())
+        if isinstance(item, Event):
+            self.event_classes.add(type(item))
 
     def hexdigest(self) -> str:
         return self._sha.hexdigest()
@@ -90,14 +96,26 @@ def _record_environments(monitor_factory):
     return monitors, mock.patch.object(Environment, "__init__", patched)
 
 
-def test_apache_vrio_dispatch_stream_pinned():
+@pytest.fixture(scope="module")
+def apache_vrio_stream() -> _StreamDigest:
     monitors, patch = _record_environments(_StreamDigest)
     with patch:
         run_scenario("apache_vrio", seed=0)
     assert len(monitors) == 1
-    stream = monitors[0]
+    return monitors[0]
+
+
+def test_apache_vrio_dispatch_stream_pinned(apache_vrio_stream):
+    stream = apache_vrio_stream
     assert (stream.steps, stream.hexdigest()) == (
         APACHE_VRIO_STEPS, APACHE_VRIO_STREAM_SHA256)
+
+
+def test_apache_vrio_dispatches_one_event_class(apache_vrio_stream):
+    # Timers and triggered events are exact Events, so the run loops'
+    # slot accesses stay on CPython's per-type caches; only process
+    # completions bring a second class.
+    assert apache_vrio_stream.event_classes == {Event, Process}
 
 
 def _calls_per_item() -> tuple:

@@ -9,7 +9,9 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
+    Timeout,
 )
+from repro.telemetry.flight import _describe
 from repro.testing import HeapOracle
 
 
@@ -407,6 +409,100 @@ def test_float_delay_rejected(schedule):
     with pytest.raises(SimulationError, match=r"integer number of ns, got \d\.5"):
         schedule(env)
     assert env.peek() is None  # nothing half-scheduled
+
+
+@pytest.mark.parametrize("schedule, message", [
+    (lambda env: env.call_soon(lambda: None, -3),
+     "negative call_soon delay: -3"),
+    (lambda env: env.call_soon(lambda: None, None),
+     "delay must be an integer number of ns, got None"),
+    (lambda env: env.timeout(None),
+     "delay must be an integer number of ns, got None"),
+    (lambda env: env.timeout("5"),
+     "delay must be an integer number of ns, got '5'"),
+    (lambda env: env.schedule_at(None, lambda: None),
+     "time must be an integer number of ns, got None"),
+    (lambda env: Timeout(env, -1), "negative timeout delay: -1"),
+    (lambda env: Timeout(env, 1.5),
+     "delay must be an integer number of ns, got 1.5"),
+], ids=["call_soon-negative", "call_soon-None", "timeout-None",
+        "timeout-str", "schedule_at-None", "Timeout-negative",
+        "Timeout-float"])
+def test_bad_delay_rejected_at_the_call(schedule, message):
+    env = Environment()
+    env.run(until=10)
+    with pytest.raises(SimulationError) as info:
+        schedule(env)
+    assert str(info.value) == message
+    assert env.peek() is None  # nothing half-scheduled
+    env.run()
+
+
+def test_timers_and_triggered_events_are_exact_events():
+    env = Environment()
+    timers = [env.timeout(5), Timeout(env, 0), Timeout(env, 3, value="v")]
+    for timer in timers:
+        assert type(timer) is Event
+        assert _describe(timer) == ("event", "Timeout")
+    assert [timer.delay for timer in timers] == [5, 0, 3]
+    plain = env.event()
+    assert type(plain) is Event and plain.delay is None
+    assert _describe(plain) == ("event", "Event")
+
+    def proc(env):
+        yield env.timeout(1)
+
+    process = env.process(proc(env))
+    assert process.delay is None
+    assert _describe(process) == ("process", "proc")
+    assert env.all_of([plain]).delay is None
+
+
+def _returns_after_a_wake(env):
+    yield env.timeout(5)
+    return "done"
+
+
+def _returns_at_start(env):
+    return "done"
+    yield  # a generator that never yields
+
+
+def _interrupted_while_waiting(env):
+    process = env.process(_returns_after_a_wake(env))
+    env.call_soon(lambda: process.interrupt("stop"), delay=2)
+    return process
+
+
+def _woken_by_an_interrupt(env):
+    failed = env.event()
+    env.call_soon(lambda: failed.fail(Interrupt("stop")), delay=2)
+
+    def waiter(env):
+        yield failed
+
+    return env.process(waiter(env))
+
+
+# Each of the two resume paths (_resume for the start and interrupts,
+# _on_event for wakes) triggers a finished process itself, both on
+# return and on an unhandled Interrupt.
+@pytest.mark.parametrize("start, finished", [
+    (lambda env: env.process(_returns_after_a_wake(env)), (5, "done")),
+    (lambda env: env.process(_returns_at_start(env)), (0, "done")),
+    (_interrupted_while_waiting, (2, None)),
+    (_woken_by_an_interrupt, (2, None)),
+], ids=["wake-returns", "start-returns", "interrupted", "wake-interrupt"])
+def test_finished_process_triggers_once(start, finished):
+    env = Environment()
+    process = start(env)
+    seen = []
+    process.add_callback(lambda ev: seen.append((env.now, ev.value)))
+    env.run()
+    assert not process.is_alive and process.ok
+    assert seen == [finished]
+    with pytest.raises(SimulationError, match="already triggered"):
+        process.succeed()
 
 
 def test_int_subclass_delays_accepted():
