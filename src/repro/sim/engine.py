@@ -256,6 +256,8 @@ def Timeout(env: "Environment", delay: int, value: Any = None) -> Event:
         env._seq = seq
         heappush(env._heap, (env._now + delay, seq, event))
     else:
+        if delay.__class__ is not int:
+            _integer_delay(delay)  # a float zero is refused like any float
         env._ready.append(event)
     return event
 
@@ -518,9 +520,9 @@ class Environment:
             seq = self._seq + 1
             self._seq = seq
             heappush(self._heap, (self._now + delay, seq, fn))
-        elif delay is None:
-            raise _not_integer_ns(delay)
         else:
+            if delay.__class__ is not int:
+                _integer_delay(delay)  # None and a float zero are refused
             self._ready.append(fn)
 
     def schedule_at(self, at_ns: int, fn: Callable[[], None]) -> None:

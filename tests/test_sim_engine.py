@@ -425,9 +425,13 @@ def test_float_delay_rejected(schedule):
     (lambda env: Timeout(env, -1), "negative timeout delay: -1"),
     (lambda env: Timeout(env, 1.5),
      "delay must be an integer number of ns, got 1.5"),
+    (lambda env: env.timeout(0.0),
+     "delay must be an integer number of ns, got 0.0"),
+    (lambda env: env.call_soon(lambda: None, 0.0),
+     "delay must be an integer number of ns, got 0.0"),
 ], ids=["call_soon-negative", "call_soon-None", "timeout-None",
         "timeout-str", "schedule_at-None", "Timeout-negative",
-        "Timeout-float"])
+        "Timeout-float", "timeout-float-zero", "call_soon-float-zero"])
 def test_bad_delay_rejected_at_the_call(schedule, message):
     env = Environment()
     env.run(until=10)
