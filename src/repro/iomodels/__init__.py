@@ -9,11 +9,17 @@ The paper's contenders:
 * :class:`VrioModel` — paravirtual remote I/O (this paper); ``poll=False``
   gives the "vrio w/o poll" variant of Table 3/Figure 5
 
-Post-paper contenders (ROADMAP item 3):
+Post-paper contenders, each one more point in Table 3's space (DESIGN §14):
 
 * :class:`NvmePtModel` — NVMe I/O-queue passthrough (arXiv 2304.05148)
 * :class:`FlexbsoModel` — block offload to a per-host engine (arXiv 2409.02381)
 * :class:`SwptModel` — software-only passthrough (arXiv 1508.06367)
+
+The six host-side models share one datapath, :class:`HostModel`
+(:mod:`.hostpath`), and one block handle, :class:`HostBlockHandle`; each
+declares only its back-end placement, completion notification, NIC mode,
+kick behaviour and cost terms.  vRIO keeps its own datapath, because its
+front end is remote.
 
 Each model module registers itself with :mod:`repro.iomodels.registry` at
 import time; everything downstream (testbed builders, experiment model
@@ -27,12 +33,13 @@ from .base import (
     NetPort,
     message_wire_bytes,
 )
-from .baseline import BaselineBlockHandle, BaselineModel
+from .baseline import BaselineModel
 from .costs import DEFAULT_COSTS, CostModel
 from .dynamic import DynamicSidecoreAllocator
-from .elvis import ElvisBlockHandle, ElvisModel
-from .flexbso import FlexbsoBlockHandle, FlexbsoModel
-from .nvme_pt import NvmePtBlockHandle, NvmePtModel
+from .elvis import ElvisModel
+from .flexbso import FlexbsoModel
+from .hostpath import HostBlockHandle, HostModel
+from .nvme_pt import NvmePtModel
 from .registry import (
     Capabilities,
     ModelInfo,
@@ -43,7 +50,7 @@ from .registry import (
     register_model,
 )
 from .sriov import OptimumModel
-from .swpt import SwptBlockHandle, SwptModel
+from .swpt import SwptModel
 from .vrio import (
     BlockDeviceError,
     VmhostChannel,
@@ -58,13 +65,10 @@ __all__ = [
     "CostModel", "DEFAULT_COSTS",
     "Capabilities", "ModelInfo", "register_model", "get_model",
     "model_names", "filter_models", "all_models",
-    "BaselineModel", "BaselineBlockHandle",
-    "ElvisModel", "ElvisBlockHandle",
+    "HostModel", "HostBlockHandle",
+    "BaselineModel", "ElvisModel", "OptimumModel",
     "DynamicSidecoreAllocator",
-    "OptimumModel",
-    "NvmePtModel", "NvmePtBlockHandle",
-    "FlexbsoModel", "FlexbsoBlockHandle",
-    "SwptModel", "SwptBlockHandle",
+    "NvmePtModel", "FlexbsoModel", "SwptModel",
     "VrioModel", "VmhostChannel", "VrioClient", "VrioBlockHandle",
     "BlockDeviceError",
 ]

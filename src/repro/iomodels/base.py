@@ -1,4 +1,4 @@
-"""Common abstractions shared by all four I/O models.
+"""Common abstractions shared by every I/O model.
 
 The contract every model implements:
 

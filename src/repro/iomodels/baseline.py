@@ -14,51 +14,33 @@ application work (``costs.baseline_app_dilation``, see costs.py).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Optional
 
-from ..guest.vm import Vm
-from ..hw.cpu import Core
-from ..hw.nic import Nic, NicFunction
-from ..hw.storage import BlockRequest, StorageDevice
-from ..net.frame import EthernetFrame, STANDARD_MTU
+from ..hw import Core, Nic
 from ..interpose import InterposerChain
-from ..sim import Environment, Event
-from ..virtio import VirtioRequest, Virtqueue
-from .base import IoEventStats, NetMessage, NetPort, message_wire_bytes
+from ..net.frame import STANDARD_MTU
+from ..sim import Environment
+from .base import IoEventStats
 from .costs import CostModel, DEFAULT_COSTS
-from .registry import (
-    Capabilities,
-    ModelInfo,
-    SimpleWiring,
-    consolidated_per_host,
-    register_model,
-)
+from .hostpath import HostModel, register_host_model
 
-__all__ = ["BaselineModel", "BaselineBlockHandle"]
+__all__ = ["BaselineModel"]
 
 
-class BaselineBlockHandle:
-    """Paravirtual block device emulated by a vhost thread."""
-
-    def __init__(self, model: "BaselineModel", vm: Vm,
-                 device: StorageDevice) -> None:
-        self.model = model
-        self.vm = vm
-        self.device = device
-
-    def submit(self, request: BlockRequest) -> Event:
-        done = self.model.env.event()
-        self.model.env.process(
-            self.model._blk_path(self.vm, self.device, request, done),
-            name=f"base-blk:{self.vm.name}")
-        return done
-
-
-class BaselineModel:
+class BaselineModel(HostModel):
     """KVM/virtio with vhost threads on a shared I/O core."""
 
     name = "baseline"
-    interposable = True
+    placement = "vhost"
+    notify = "injection"
+    nic_mode = "interrupt"
+    kick = "exit"
+    prefix = "base"
+    function_prefix = "virtio"
+    backend_tx = "vhost"
+    span = "vhost_service"
+    service_tag = "vhost"
+    blk_tag = "vhost_blk"
 
     def __init__(self, env: Environment, nic: Nic, io_core: Core,
                  costs: CostModel = DEFAULT_COSTS,
@@ -66,216 +48,21 @@ class BaselineModel:
                  interposers: Optional[InterposerChain] = None,
                  mtu: int = STANDARD_MTU,
                  tracer: Optional[Any] = None) -> None:
-        self.env = env
-        self.nic = nic
+        super().__init__(env, nic, [io_core], costs, stats, interposers,
+                         mtu, tracer)
         self.io_core = io_core
-        self.costs = costs
-        self.stats = stats if stats is not None else IoEventStats("baseline")
-        self.interposers = interposers if interposers is not None else InterposerChain()
-        self.mtu = mtu
-        self.tracer = tracer  # optional repro.sim.trace.Tracer
-        self._fn_of: Dict[Vm, NicFunction] = {}
-        self._port_of: Dict[Vm, NetPort] = {}
-        self._tx_vq_of: Dict[Vm, Virtqueue] = {}
-
-    def register_telemetry(self, namespace: Any) -> None:
-        """Register this model's instruments into a metrics namespace."""
-        namespace.register_gauge("attached_vms",
-                                 lambda m=self: len(m._port_of))
-        for vm, vq in self._tx_vq_of.items():
-            ns = namespace.namespace(f"txq.{vm.name}")
-            for counter in ("kicks", "kicks_suppressed", "posted",
-                            "completed", "full_rejections"):
-                ns.register_counter(counter, getattr(vq, counter))
-
-    def add_interposer(self, interposer: Any) -> None:
-        self.interposers.add(interposer)
-
-    def attach_vm(self, vm: Vm, mac: Optional[Any] = None) -> NetPort:
-        """Create the VM's virtio net device.
-
-        ``mac`` pins the device's address — used when a vRIO client falls
-        back to local virtio after an IOhost failure and must keep its
-        externally visible F address (§4.6).
-        """
-        if vm in self._port_of:
-            raise ValueError(f"{vm.name} already attached")
-        vm.stats = self.stats
-        fn = self.nic.create_function(f"virtio-{vm.name}", mac=mac,
-                                      notify_mode="interrupt")
-        fn.on_notify = lambda v=vm: self._on_nic_rx(v)
-        fn.on_tx_complete = lambda v=vm: self._on_tx_complete(v)
-        self._fn_of[vm] = fn
-        self._tx_vq_of[vm] = Virtqueue(self.env, name=f"{vm.name}.txq")
-        port = NetPort(self.env, vm, fn.mac,
-                       transmit=lambda msg, v=vm: self._start_tx(v, msg),
-                       app_dilation=self.costs.baseline_app_dilation)
-        self._port_of[vm] = port
-        return port
-
-    def attach_block_device(self, vm: Vm,
-                            device: StorageDevice) -> BaselineBlockHandle:
-        if vm not in self._port_of:
-            raise ValueError(f"attach_vm({vm.name}) first")
-        return BaselineBlockHandle(self, vm, device)
-
-    # -- guest transmit ---------------------------------------------------------
-
-    def _start_tx(self, vm: Vm, message: NetMessage) -> None:
-        self.env.process(self._guest_tx(vm, message),
-                         name=f"base-tx:{vm.name}")
-
-    def _guest_tx(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
         c = self.costs
-        if self.tracer:
-            self.tracer.point(message.message_id, "guest_tx",
-                              vm=vm.name, bytes=message.size_bytes)
-        cycles = int(c.guest_net_per_msg_cycles
-                     + c.guest_net_per_byte_cycles * message.size_bytes
-                     + c.ring_op_cycles)
-        yield vm.vcpu.execute(cycles, tag="net_tx")
-        request = VirtioRequest(kind="net_tx", size_bytes=message.size_bytes,
-                                payload=message)
-        need_kick = self._tx_vq_of[vm].add_avail(request)
-        if need_kick:
-            # The kick hypercall traps: Table 3's synchronous exit.
-            yield vm.sync_exit()
-        self.env.process(self._vhost_tx(vm, message),
-                         name=f"base-vhost-tx:{vm.name}")
-
-    def _vhost_tx(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
-        c = self.costs
-        # The vhost thread must be scheduled in before it can serve.
-        yield self.env.timeout(c.vhost_sched_delay_ns)
-        ok, _request = self._tx_vq_of[vm].try_get_avail()
-        if not ok:
-            return
-        self._tx_vq_of[vm].kick_serviced()
-        if not self.interposers.admit(message):
-            return
-        span = None
-        if self.tracer:
-            span = self.tracer.begin(message.message_id, "vhost_service",
-                                     core=self.io_core.name, direction="tx")
-        cycles = int(c.vhost_wakeup_cycles + c.backend_per_msg_cycles
-                     + c.sidecore_per_byte_cycles * message.size_bytes
-                     + self.interposers.cycles(message.size_bytes, message.kind))
-        yield self.io_core.execute(cycles, tag="vhost")
-        frame = EthernetFrame(
-            src=self._fn_of[vm].mac, dst=message.dst, payload=message,
-            payload_bytes=message_wire_bytes(message.size_bytes, self.mtu),
-            kind=message.kind, created_ns=self.env.now)
-        self._fn_of[vm].transmit(frame, completion_interrupt=True)
-        if span is not None:
-            self.tracer.end(span)
-
-    def _on_tx_complete(self, vm: Vm) -> None:
-        self.stats.host_interrupts.add()
-        self.env.process(self._tx_complete_path(vm),
-                         name=f"base-txc:{vm.name}")
-
-    def _tx_complete_path(self, vm: Vm) -> Iterator[Event]:
-        c = self.costs
-        yield self.io_core.execute(c.host_irq_cycles, tag="host_irq",
-                                   high_priority=True)
-        # Inject the guest's "sent" interrupt: host-side injection cost,
-        # then the guest handler whose EOI write traps.
-        yield self.io_core.execute(c.injection_cycles, tag="injection")
-        vm.deliver_interrupt_injected()
-
-    # -- receive -------------------------------------------------------------------
-
-    def _on_nic_rx(self, vm: Vm) -> None:
-        self.stats.host_interrupts.add()
-        self.env.process(self._rx_path(vm), name=f"base-rx:{vm.name}")
-
-    def _rx_path(self, vm: Vm) -> Iterator[Event]:
-        c = self.costs
-        fn = self._fn_of[vm]
-        port = self._port_of[vm]
-        yield self.io_core.execute(c.host_irq_cycles, tag="host_irq",
-                                   high_priority=True)
-        yield self.env.timeout(c.vhost_sched_delay_ns)
-        while True:
-            ok, frame = fn.rx_ring.try_get()
-            if not ok:
-                break
-            message: NetMessage = frame.payload
-            if not self.interposers.admit(message):
-                continue
-            span = None
-            if self.tracer:
-                span = self.tracer.begin(message.message_id, "vhost_service",
-                                         core=self.io_core.name,
-                                         direction="rx")
-            cycles = int(c.vhost_wakeup_cycles + c.backend_per_msg_cycles
-                         + c.sidecore_per_byte_cycles * message.size_bytes
-                         + self.interposers.cycles(message.size_bytes,
-                                                   message.kind))
-            yield self.io_core.execute(cycles, tag="vhost")
-            yield self.io_core.execute(c.injection_cycles, tag="injection")
-            if span is not None:
-                self.tracer.end(span)
-            extra = int(c.guest_net_per_msg_cycles
-                        + c.guest_net_per_byte_cycles * message.size_bytes)
-            yield vm.deliver_interrupt_injected(extra_cycles=extra)
-            if self.tracer:
-                self.tracer.point(message.message_id, "guest_deliver",
-                                  vm=vm.name)
-            port.deliver(message)
-        fn.rearm()
-
-    # -- block ---------------------------------------------------------------------
-
-    def _blk_path(self, vm: Vm, device: StorageDevice, request: BlockRequest,
-                  done: Event) -> Iterator[Event]:
-        c = self.costs
-        request.issued_ns = self.env.now
-        yield vm.vcpu.execute(c.guest_blk_per_req_cycles + c.ring_op_cycles,
-                              tag="blk_submit")
-        yield vm.sync_exit()  # the block kick traps
-        yield self.env.timeout(c.vhost_sched_delay_ns)
-        kind = "blk_read" if request.op == "read" else "blk_write"
-        cycles = int(c.vhost_wakeup_cycles + device.cpu_cycles(request)
-                     + self.interposers.cycles(request.size_bytes, kind))
-        yield self.io_core.execute(cycles, tag="vhost_blk")
-        yield device.submit(request)
-        yield self.io_core.execute(c.injection_cycles, tag="injection")
-        yield vm.deliver_interrupt_injected(extra_cycles=c.ring_op_cycles)
-        done.succeed(request)
+        self._app_dilation = c.baseline_app_dilation
+        self._sched_delay_ns = c.vhost_sched_delay_ns
+        self._service = (c.vhost_wakeup_cycles + c.backend_per_msg_cycles,
+                         c.sidecore_per_byte_cycles)
+        self._blk_service = (c.vhost_wakeup_cycles, 0)
+        # The vhost thread injects every completion into the guest.
+        self._rx_done = self._tx_done = self._blk_done = (
+            c.injection_cycles, "injection")
 
 
-# -- registry wiring ----------------------------------------------------------
-
-def _build_simple(ctx: Any) -> SimpleWiring:
-    host_nic = ctx.vmhost.new_nic("external")
-    ctx.wire_loadgen(host_nic)
-    io_core = ctx.vmhost.new_io_core()
-    model = BaselineModel(ctx.env, host_nic, io_core, costs=ctx.costs,
-                          stats=ctx.stats)
-    ports = [model.attach_vm(vm) for vm in ctx.vms]
-    return SimpleWiring(model=model, ports=ports, service_cores=[io_core])
-
-
-def _consolidation_host(
-        ctx: Any, vmhost: Any,
-) -> Tuple["BaselineModel", List[Core], Callable[[Vm], NetPort]]:
-    nic = vmhost.new_nic("external")  # unused by block workloads
-    io_core = vmhost.new_io_core()
-    model = BaselineModel(ctx.env, nic, io_core, costs=ctx.costs,
-                          stats=ctx.stats)
-    return model, [io_core], model.attach_vm
-
-
-register_model(ModelInfo(
-    name="baseline",
+register_host_model(
+    BaselineModel, ranks=(50, 50, 30), polling=False, exitless=False,
     description=("KVM/virtio trap-and-emulate with vhost threads "
-                 "(state of practice)"),
-    capabilities=Capabilities(net=True, block=True, polling=False,
-                              topologies=("simple", "consolidation"),
-                              ablation=False, exitless=False),
-    build_simple=_build_simple,
-    build_consolidation=lambda ctx: consolidated_per_host(
-        ctx, _consolidation_host),
-    tab_rank=50, throughput_rank=50, block_rank=30,
-))
+                 "(state of practice)"))

@@ -77,13 +77,6 @@ class DynamicSidecoreAllocator:
             self._last_useful[id(core)] = core.util.useful_ns
         return total / max(1, len(self.model.sidecores))
 
-    def _rebalance(self) -> None:
-        """Spread the model's VMs round-robin over the current sidecores."""
-        vms = list(self.model._sidecore_of)
-        for index, vm in enumerate(vms):
-            self.model._sidecore_of[vm] = self.model.sidecores[
-                index % len(self.model.sidecores)]
-
     def _control_loop(self) -> Iterator[Event]:
         env = self.env
         while True:
@@ -93,10 +86,10 @@ class DynamicSidecoreAllocator:
                 core = self.spare_cores.pop(0)
                 self.model.sidecores.append(core)
                 self.grow_events.add()
-                self._rebalance()
+                self.model.spread_vms(self.model.sidecores)
             elif (utilization < self.shrink_threshold
                     and len(self.model.sidecores) > 1):
                 core = self.model.sidecores.pop()
                 self.spare_cores.insert(0, core)
                 self.shrink_events.add()
-                self._rebalance()
+                self.model.spread_vms(self.model.sidecores)

@@ -11,53 +11,32 @@ removes by polling the NICs at the IOhost.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional
 
-from ..guest.vm import Vm
-from ..hw.cpu import Core
-from ..hw.nic import Nic, NicFunction
-from ..hw.storage import BlockRequest, StorageDevice
-from ..net.frame import EthernetFrame, STANDARD_MTU
+from ..hw import Core, Nic
 from ..interpose import InterposerChain
-from ..sim import Environment, Event
-from ..virtio import VirtioRequest, Virtqueue
-from .base import IoEventStats, NetMessage, NetPort, message_wire_bytes
+from ..net.frame import STANDARD_MTU
+from ..sim import Environment
+from .base import IoEventStats
 from .costs import CostModel, DEFAULT_COSTS
-from .registry import (
-    Capabilities,
-    ModelInfo,
-    SimpleWiring,
-    consolidated_per_host,
-    register_model,
-)
+from .hostpath import HostModel, register_host_model
 
-__all__ = ["ElvisModel", "ElvisBlockHandle"]
+__all__ = ["ElvisModel"]
 
 
-class ElvisBlockHandle:
-    """Workload-facing paravirtual block device backed by a local sidecore."""
-
-    def __init__(self, model: "ElvisModel", vm: Vm,
-                 device: StorageDevice) -> None:
-        self.model = model
-        self.vm = vm
-        self.device = device
-
-    def submit(self, request: BlockRequest) -> Event:
-        """Issue a block request; the event triggers after guest completion
-        handling (interrupt + block-layer reap) has run."""
-        done = self.model.env.event()
-        self.model.env.process(
-            self.model._blk_path(self.vm, self.device, request, done),
-            name=f"elvis-blk:{self.vm.name}")
-        return done
-
-
-class ElvisModel:
+class ElvisModel(HostModel):
     """Elvis: per-VMhost sidecores, polled rings, interrupt-driven NIC."""
 
     name = "elvis"
-    interposable = True
+    placement = "sidecores"
+    notify = "ipi"
+    nic_mode = "interrupt"
+    kick = "none"
+    prefix = "elvis"
+    backend_tx = "sc"
+    span = "sidecore_service"
+    service_tag = "backend"
+    blk_tag = "blk_backend"
 
     def __init__(self, env: Environment, nic: Nic, sidecores: List[Core],
                  costs: CostModel = DEFAULT_COSTS,
@@ -67,221 +46,16 @@ class ElvisModel:
                  tracer: Optional[Any] = None) -> None:
         if not sidecores:
             raise ValueError("Elvis requires at least one sidecore")
-        self.env = env
-        self.nic = nic
+        super().__init__(env, nic, sidecores, costs, stats, interposers,
+                         mtu, tracer)
         self.sidecores = sidecores
-        self.costs = costs
-        self.stats = stats if stats is not None else IoEventStats("elvis")
-        self.interposers = interposers if interposers is not None else InterposerChain()
-        self.mtu = mtu
-        self.tracer = tracer  # optional repro.sim.trace.Tracer
-        self._fn_of: Dict[Vm, NicFunction] = {}
-        self._port_of: Dict[Vm, NetPort] = {}
-        self._sidecore_of: Dict[Vm, Core] = {}
-        self._tx_vq_of: Dict[Vm, Virtqueue] = {}
-        self._attach_count = 0
-
-    def register_telemetry(self, namespace: Any) -> None:
-        """Register this model's instruments into a metrics namespace."""
-        namespace.register_gauge("attached_vms",
-                                 lambda m=self: len(m._port_of))
-        for vm, vq in self._tx_vq_of.items():
-            ns = namespace.namespace(f"txq.{vm.name}")
-            for counter in ("kicks", "kicks_suppressed", "posted",
-                            "completed", "full_rejections"):
-                ns.register_counter(counter, getattr(vq, counter))
-
-    def add_interposer(self, interposer: Any) -> None:
-        self.interposers.add(interposer)
-
-    def sidecore_for(self, vm: Vm) -> Core:
-        return self._sidecore_of[vm]
-
-    def attach_vm(self, vm: Vm, sidecore: Optional[Core] = None) -> NetPort:
-        """Create the VM's paravirtual net device; returns its port.
-
-        VMs are spread round-robin across sidecores unless one is given.
-        """
-        if vm in self._port_of:
-            raise ValueError(f"{vm.name} already attached")
-        vm.stats = self.stats
-        if sidecore is None:
-            sidecore = self.sidecores[self._attach_count % len(self.sidecores)]
-        self._attach_count += 1
-        self._sidecore_of[vm] = sidecore
-        fn = self.nic.create_function(f"elvis-{vm.name}",
-                                      notify_mode="interrupt")
-        fn.on_notify = lambda v=vm: self._on_nic_rx(v)
-        fn.on_tx_complete = lambda v=vm: self._on_tx_complete(v)
-        self._fn_of[vm] = fn
-        tx_vq = Virtqueue(self.env, name=f"{vm.name}.txq")
-        tx_vq.disable_kicks()  # the sidecore polls
-        self._tx_vq_of[vm] = tx_vq
-        port = NetPort(self.env, vm, fn.mac,
-                       transmit=lambda msg, v=vm: self._start_tx(v, msg))
-        self._port_of[vm] = port
-        return port
-
-    def attach_block_device(self, vm: Vm,
-                            device: StorageDevice) -> ElvisBlockHandle:
-        if vm not in self._port_of:
-            raise ValueError(f"attach_vm({vm.name}) first")
-        return ElvisBlockHandle(self, vm, device)
-
-    # -- guest transmit --------------------------------------------------------
-
-    def _start_tx(self, vm: Vm, message: NetMessage) -> None:
-        self.env.process(self._guest_tx(vm, message),
-                         name=f"elvis-tx:{vm.name}")
-
-    def _guest_tx(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
         c = self.costs
-        if self.tracer:
-            self.tracer.point(message.message_id, "guest_tx",
-                              vm=vm.name, bytes=message.size_bytes)
-        cycles = int(c.guest_net_per_msg_cycles
-                     + c.guest_net_per_byte_cycles * message.size_bytes
-                     + c.ring_op_cycles)
-        yield vm.vcpu.execute(cycles, tag="net_tx")
-        request = VirtioRequest(kind="net_tx", size_bytes=message.size_bytes,
-                                payload=message)
-        kick = self._tx_vq_of[vm].add_avail(request)
-        assert not kick, "Elvis rings must have kicks suppressed"
-        # The sidecore's poll loop picks the request up.
-        self.env.process(self._sidecore_tx(vm, message),
-                         name=f"elvis-sc-tx:{vm.name}")
-
-    def _sidecore_tx(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
-        c = self.costs
-        sidecore = self._sidecore_of[vm]
-        ok, request = self._tx_vq_of[vm].try_get_avail()
-        if not ok:
-            return
-        if not self.interposers.admit(message):
-            return
-        span = None
-        if self.tracer:
-            span = self.tracer.begin(message.message_id, "sidecore_service",
-                                     core=sidecore.name, direction="tx")
-        cycles = int(c.backend_per_msg_cycles
-                     + c.sidecore_per_byte_cycles * message.size_bytes
-                     + self.interposers.cycles(message.size_bytes, message.kind))
-        yield sidecore.execute(cycles, tag="backend")
-        frame = EthernetFrame(
-            src=self._fn_of[vm].mac, dst=message.dst, payload=message,
-            payload_bytes=message_wire_bytes(message.size_bytes, self.mtu),
-            kind=message.kind, created_ns=self.env.now)
-        # Physical NIC tx raises a host interrupt on completion.
-        self._fn_of[vm].transmit(frame, completion_interrupt=True)
-        if span is not None:
-            self.tracer.end(span)
-
-    def _on_tx_complete(self, vm: Vm) -> None:
-        self.stats.host_interrupts.add()
-        self.env.process(self._tx_complete_path(vm),
-                         name=f"elvis-txc:{vm.name}")
-
-    def _tx_complete_path(self, vm: Vm) -> Iterator[Event]:
-        sidecore = self._sidecore_of[vm]
-        yield sidecore.execute(self.costs.host_irq_cycles, tag="host_irq",
-                               high_priority=True)
-        # Sidecore marks the descriptor used and IPIs the guest (exitless):
-        # the guest's "response sent" interrupt, 2nd of Table 3's pair.
-        vm.deliver_interrupt_exitless()
-
-    # -- receive -----------------------------------------------------------------
-
-    def _on_nic_rx(self, vm: Vm) -> None:
-        self.stats.host_interrupts.add()
-        self.env.process(self._rx_path(vm), name=f"elvis-rx:{vm.name}")
-
-    def _rx_path(self, vm: Vm) -> Iterator[Event]:
-        c = self.costs
-        sidecore = self._sidecore_of[vm]
-        fn = self._fn_of[vm]
-        port = self._port_of[vm]
-        yield sidecore.execute(c.host_irq_cycles, tag="host_irq",
-                               high_priority=True)
-        while True:
-            ok, frame = fn.rx_ring.try_get()
-            if not ok:
-                break
-            message: NetMessage = frame.payload
-            if not self.interposers.admit(message):
-                continue
-            span = None
-            if self.tracer:
-                span = self.tracer.begin(message.message_id,
-                                         "sidecore_service",
-                                         core=sidecore.name, direction="rx")
-            cycles = int(c.backend_per_msg_cycles
-                         + c.sidecore_per_byte_cycles * message.size_bytes
-                         + self.interposers.cycles(message.size_bytes,
-                                                   message.kind))
-            yield sidecore.execute(cycles, tag="backend")
-            if span is not None:
-                self.tracer.end(span)
-            extra = int(c.guest_net_per_msg_cycles
-                        + c.guest_net_per_byte_cycles * message.size_bytes)
-            yield vm.deliver_interrupt_exitless(extra_cycles=extra)
-            if self.tracer:
-                self.tracer.point(message.message_id, "guest_deliver",
-                                  vm=vm.name)
-            port.deliver(message)
-        fn.rearm()
-
-    # -- block -----------------------------------------------------------------
-
-    def _blk_path(self, vm: Vm, device: StorageDevice, request: BlockRequest,
-                  done: Event) -> Iterator[Event]:
-        c = self.costs
-        sidecore = self._sidecore_of[vm]
-        request.issued_ns = self.env.now
-        # Guest: block layer + ring post (no kick: the sidecore polls).
-        yield vm.vcpu.execute(c.guest_blk_per_req_cycles + c.ring_op_cycles,
-                              tag="blk_submit")
-        # Sidecore back-end: software path + data touch, then the medium.
-        kind = "blk_read" if request.op == "read" else "blk_write"
-        cycles = int(device.cpu_cycles(request)
-                     + self.interposers.cycles(request.size_bytes, kind))
-        yield sidecore.execute(cycles, tag="blk_backend")
-        yield device.submit(request)
-        yield sidecore.execute(c.ring_op_cycles, tag="blk_complete")
-        # Completion IPI into the guest, then the guest block layer reaps.
-        yield vm.deliver_interrupt_exitless(extra_cycles=c.ring_op_cycles)
-        done.succeed(request)
+        self._service = (c.backend_per_msg_cycles, c.sidecore_per_byte_cycles)
+        # The sidecore marks the used descriptor, then IPIs the guest.
+        self._blk_done = (c.ring_op_cycles, "blk_complete")
 
 
-# -- registry wiring ----------------------------------------------------------
-
-def _build_simple(ctx: Any) -> SimpleWiring:
-    host_nic = ctx.vmhost.new_nic("external")
-    ctx.wire_loadgen(host_nic)
-    cores = [ctx.vmhost.new_sidecore() for _ in range(ctx.spec.sidecores)]
-    model = ElvisModel(ctx.env, host_nic, cores, costs=ctx.costs,
-                       stats=ctx.stats)
-    ports = [model.attach_vm(vm) for vm in ctx.vms]
-    return SimpleWiring(model=model, ports=ports, service_cores=cores)
-
-
-def _consolidation_host(
-        ctx: Any, vmhost: Any,
-) -> Tuple["ElvisModel", List[Core], Callable[[Vm], NetPort]]:
-    nic = vmhost.new_nic("external")  # unused by block workloads
-    cores = [vmhost.new_sidecore() for _ in range(ctx.spec.sidecores)]
-    model = ElvisModel(ctx.env, nic, cores, costs=ctx.costs, stats=ctx.stats)
-    return model, cores, model.attach_vm
-
-
-register_model(ModelInfo(
-    name="elvis",
+register_host_model(
+    ElvisModel, ranks=(30, 20, 10), polling=True, exitless=True,
     description=("local sidecores polling virtio rings + ELI exitless "
-                 "completions (state of the art, Har'El et al. ATC'13)"),
-    capabilities=Capabilities(net=True, block=True, polling=True,
-                              topologies=("simple", "consolidation"),
-                              ablation=False, exitless=True),
-    build_simple=_build_simple,
-    build_consolidation=lambda ctx: consolidated_per_host(
-        ctx, _consolidation_host),
-    tab_rank=30, throughput_rank=20, block_rank=10,
-))
+                 "completions (state of the art, Har'El et al. ATC'13)"))

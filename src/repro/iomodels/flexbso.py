@@ -16,53 +16,31 @@ property Elvis buys with host sidecores, here at SmartNIC prices.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Optional
 
-from ..guest.vm import Vm
-from ..hw.cpu import Core
-from ..hw.nic import Nic, NicFunction
-from ..hw.storage import BlockRequest, StorageDevice
+from ..hw import Core, Nic
 from ..interpose import InterposerChain
-from ..net.frame import EthernetFrame, STANDARD_MTU
-from ..sim import Counter, Environment, Event
-from .base import IoEventStats, NetMessage, NetPort, message_wire_bytes
+from ..net.frame import STANDARD_MTU
+from ..sim import Environment
+from .base import IoEventStats
 from .costs import CostModel, DEFAULT_COSTS
-from .registry import (
-    Capabilities,
-    ModelInfo,
-    SimpleWiring,
-    consolidated_per_host,
-    register_model,
-)
-from .vrio.reliability import BlockDeviceError
+from .hostpath import HostModel, register_host_model
 
-__all__ = ["FlexbsoModel", "FlexbsoBlockHandle"]
+__all__ = ["FlexbsoModel"]
 
 
-class FlexbsoBlockHandle:
-    """Workload-facing paravirtual block device backed by the engine."""
-
-    def __init__(self, model: "FlexbsoModel", vm: Vm,
-                 device: StorageDevice) -> None:
-        self.model = model
-        self.vm = vm
-        self.device = device
-
-    def submit(self, request: BlockRequest) -> Event:
-        """Issue a block request; the event triggers after guest completion
-        handling (exitless interrupt + block-layer reap) has run."""
-        done = self.model.env.event()
-        self.model.env.process(
-            self.model._blk_path(self.vm, self.device, request, done),
-            name=f"flexbso-blk:{self.vm.name}")
-        return done
-
-
-class FlexbsoModel:
+class FlexbsoModel(HostModel):
     """FlexBSO: per-host offload engine, NIC-side completions."""
 
     name = "flexbso"
-    interposable = True
+    placement = "engine"
+    kick = "doorbell"
+    prefix = "flexbso"
+    backend_tx = "eng"
+    span = "engine_service"
+    service_tag = "engine"
+    blk_tag = "blk_engine"
+    surfaces_device_errors = True
 
     def __init__(self, env: Environment, nic: Nic, engine: Core,
                  costs: CostModel = DEFAULT_COSTS,
@@ -70,211 +48,20 @@ class FlexbsoModel:
                  interposers: Optional[InterposerChain] = None,
                  mtu: int = STANDARD_MTU,
                  tracer: Optional[Any] = None) -> None:
-        self.env = env
-        self.nic = nic
+        super().__init__(env, nic, [engine], costs, stats, interposers,
+                         mtu, tracer)
         self.engine = engine
-        self.costs = costs
-        self.stats = stats if stats is not None else IoEventStats("flexbso")
-        self.interposers = (interposers if interposers is not None
-                            else InterposerChain())
-        self.mtu = mtu
-        self.tracer = tracer  # optional repro.sim.trace.Tracer
-        self._fn_of: Dict[Vm, NicFunction] = {}
-        self._port_of: Dict[Vm, NetPort] = {}
-        self.offloaded_requests = Counter("offloaded_requests")
-        self.engine_dma_bytes = Counter("engine_dma_bytes")
-
-    def register_telemetry(self, namespace: Any) -> None:
-        """Register this model's instruments into a metrics namespace."""
-        namespace.register_gauge("attached_vms",
-                                 lambda m=self: len(m._port_of))
-        namespace.register_counter("offloaded_requests",
-                                   self.offloaded_requests)
-        namespace.register_counter("engine_dma_bytes", self.engine_dma_bytes)
-        namespace.register_gauge("engine_queue_length",
-                                 lambda m=self: m.engine.queue_length)
-
-    def add_interposer(self, interposer: Any) -> None:
-        self.interposers.add(interposer)
-
-    def attach_vm(self, vm: Vm) -> NetPort:
-        """Create the VM's engine-backed net device; returns its port."""
-        if vm in self._port_of:
-            raise ValueError(f"{vm.name} already attached")
-        vm.stats = self.stats
-        fn = self.nic.create_function(f"flexbso-{vm.name}", notify_mode="eli")
-        fn.on_notify = lambda v=vm: self._on_nic_rx(v)
-        fn.on_tx_complete = lambda v=vm: self._on_tx_complete(v)
-        self._fn_of[vm] = fn
-        port = NetPort(self.env, vm, fn.mac,
-                       transmit=lambda msg, v=vm: self._start_tx(v, msg))
-        self._port_of[vm] = port
-        return port
-
-    def attach_block_device(self, vm: Vm,
-                            device: StorageDevice) -> FlexbsoBlockHandle:
-        if vm not in self._port_of:
-            raise ValueError(f"attach_vm({vm.name}) first")
-        return FlexbsoBlockHandle(self, vm, device)
-
-    # -- guest transmit --------------------------------------------------------
-
-    def _start_tx(self, vm: Vm, message: NetMessage) -> None:
-        self.env.process(self._guest_tx(vm, message),
-                         name=f"flexbso-tx:{vm.name}")
-
-    def _guest_tx(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
         c = self.costs
-        if self.tracer:
-            self.tracer.point(message.message_id, "guest_tx",
-                              vm=vm.name, bytes=message.size_bytes)
-        cycles = int(c.guest_net_per_msg_cycles
-                     + c.guest_net_per_byte_cycles * message.size_bytes
-                     + c.ring_op_cycles)
-        yield vm.vcpu.execute(cycles, tag="net_tx")
-        # Doorbell: posted PCIe write into the engine — latency, no exit.
-        yield self.env.timeout(c.flexbso_doorbell_latency_ns)
-        self.env.process(self._engine_tx(vm, message),
-                         name=f"flexbso-eng-tx:{vm.name}")
-
-    def _engine_tx(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
-        c = self.costs
-        if not self.interposers.admit(message):
-            return
-        span = None
-        if self.tracer:
-            span = self.tracer.begin(message.message_id, "engine_service",
-                                     core=self.engine.name, direction="tx")
-        self.offloaded_requests.add()
-        self.engine_dma_bytes.add(message.size_bytes)
-        cycles = int(c.flexbso_engine_per_req_cycles
-                     + c.flexbso_dma_per_byte_cycles * message.size_bytes
-                     + self.interposers.cycles(message.size_bytes,
-                                               message.kind))
-        yield self.engine.execute(cycles, tag="engine")
-        frame = EthernetFrame(
-            src=self._fn_of[vm].mac, dst=message.dst, payload=message,
-            payload_bytes=message_wire_bytes(message.size_bytes, self.mtu),
-            kind=message.kind, created_ns=self.env.now)
-        # The NIC *is* the engine's front end: send completion comes back
-        # to the engine, never as a host interrupt.
-        self._fn_of[vm].transmit(frame, completion_interrupt=True)
-        if span is not None:
-            self.tracer.end(span)
-
-    def _on_tx_complete(self, vm: Vm) -> None:
-        self.env.process(self._tx_complete_path(vm),
-                         name=f"flexbso-txc:{vm.name}")
-
-    def _tx_complete_path(self, vm: Vm) -> Iterator[Event]:
-        # Engine writes the used entry back NIC-side and signals the
-        # guest exitlessly (posted interrupt).
-        yield self.engine.execute(self.costs.ring_op_cycles,
-                                  tag="tx_complete")
-        vm.deliver_interrupt_exitless()
-
-    # -- receive ---------------------------------------------------------------
-
-    def _on_nic_rx(self, vm: Vm) -> None:
-        self.env.process(self._rx_path(vm), name=f"flexbso-rx:{vm.name}")
-
-    def _rx_path(self, vm: Vm) -> Iterator[Event]:
-        c = self.costs
-        fn = self._fn_of[vm]
-        port = self._port_of[vm]
-        while True:
-            ok, frame = fn.rx_ring.try_get()
-            if not ok:
-                break
-            message: NetMessage = frame.payload
-            if not self.interposers.admit(message):
-                continue
-            span = None
-            if self.tracer:
-                span = self.tracer.begin(message.message_id, "engine_service",
-                                         core=self.engine.name,
-                                         direction="rx")
-            self.engine_dma_bytes.add(message.size_bytes)
-            cycles = int(c.flexbso_engine_per_req_cycles
-                         + c.flexbso_dma_per_byte_cycles * message.size_bytes
-                         + self.interposers.cycles(message.size_bytes,
-                                                   message.kind))
-            yield self.engine.execute(cycles, tag="engine")
-            if span is not None:
-                self.tracer.end(span)
-            extra = int(c.guest_net_per_msg_cycles
-                        + c.guest_net_per_byte_cycles * message.size_bytes)
-            yield vm.deliver_interrupt_exitless(extra_cycles=extra)
-            if self.tracer:
-                self.tracer.point(message.message_id, "guest_deliver",
-                                  vm=vm.name)
-            port.deliver(message)
-        fn.rearm()
-
-    # -- block -----------------------------------------------------------------
-
-    def _blk_path(self, vm: Vm, device: StorageDevice, request: BlockRequest,
-                  done: Event) -> Iterator[Event]:
-        c = self.costs
-        request.issued_ns = self.env.now
-        # Guest: virtio-blk post; the doorbell is device MMIO, no exit.
-        yield vm.vcpu.execute(c.guest_blk_per_req_cycles + c.ring_op_cycles,
-                              tag="blk_submit")
-        yield self.env.timeout(c.flexbso_doorbell_latency_ns)
-        # Offload engine: parse/translate the request, stage its data by
-        # DMA, and drive the medium from the SmartNIC.
-        self.offloaded_requests.add()
-        self.engine_dma_bytes.add(request.size_bytes)
-        kind = "blk_read" if request.op == "read" else "blk_write"
-        cycles = int(c.flexbso_engine_per_req_cycles
-                     + c.flexbso_dma_per_byte_cycles * request.size_bytes
-                     + device.cpu_cycles(request)
-                     + self.interposers.cycles(request.size_bytes, kind))
-        yield self.engine.execute(cycles, tag="blk_engine")
-        yield device.submit(request)
-        yield self.engine.execute(c.ring_op_cycles, tag="blk_complete")
-        # NIC-side completion: posted interrupt, guest reaps the ring.
-        yield vm.deliver_interrupt_exitless(extra_cycles=c.ring_op_cycles)
-        if request.meta.get("device_error"):
-            # The engine copies the medium's error status into the used
-            # ring verbatim — it offloads the data path, not recovery, so
-            # the error lands in the guest (contrast §4.5).
-            done.fail(BlockDeviceError(request, attempts=1))
-        else:
-            done.succeed(request)
+        self._doorbell_ns = c.flexbso_doorbell_latency_ns
+        self._service = self._blk_service = (
+            c.flexbso_engine_per_req_cycles, c.flexbso_dma_per_byte_cycles)
+        # The engine writes the used entry back NIC-side, then posts the
+        # guest's interrupt.
+        self._tx_done = (c.ring_op_cycles, "tx_complete")
+        self._blk_done = (c.ring_op_cycles, "blk_complete")
 
 
-# -- registry wiring ----------------------------------------------------------
-
-def _build_simple(ctx: Any) -> SimpleWiring:
-    host_nic = ctx.vmhost.new_nic("external")
-    ctx.wire_loadgen(host_nic)
-    engine = ctx.vmhost.new_sidecore()
-    model = FlexbsoModel(ctx.env, host_nic, engine, costs=ctx.costs,
-                         stats=ctx.stats)
-    ports = [model.attach_vm(vm) for vm in ctx.vms]
-    return SimpleWiring(model=model, ports=ports, service_cores=[engine])
-
-
-def _consolidation_host(
-        ctx: Any, vmhost: Any,
-) -> Tuple["FlexbsoModel", List[Core], Callable[[Vm], NetPort]]:
-    nic = vmhost.new_nic("external")
-    engine = vmhost.new_sidecore()
-    model = FlexbsoModel(ctx.env, nic, engine, costs=ctx.costs,
-                         stats=ctx.stats)
-    return model, [engine], model.attach_vm
-
-
-register_model(ModelInfo(
-    name="flexbso",
+register_host_model(
+    FlexbsoModel, ranks=(70, 70, 50), polling=True, exitless=True,
     description=("block offload to a per-host SmartNIC engine core with "
-                 "NIC-side exitless completions (arXiv 2409.02381)"),
-    capabilities=Capabilities(net=True, block=True, polling=True,
-                              topologies=("simple", "consolidation"),
-                              ablation=False, exitless=True),
-    build_simple=_build_simple,
-    build_consolidation=lambda ctx: consolidated_per_host(
-        ctx, _consolidation_host),
-    tab_rank=70, throughput_rank=70, block_rank=50,
-))
+                 "NIC-side exitless completions (arXiv 2409.02381)"))

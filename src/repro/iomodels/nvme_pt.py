@@ -17,117 +17,64 @@ exactly what the admin-queue trap path provides.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, Optional
 
 from ..guest.vm import Vm
-from ..hw.cpu import Core
-from ..hw.nic import Nic, NicFunction
-from ..hw.storage import BlockRequest, StorageDevice
-from ..net.frame import EthernetFrame, STANDARD_MTU
+from ..hw.storage import StorageDevice
+from ..net.frame import STANDARD_MTU
 from ..sim import Counter, Environment, Event
-from .base import IoEventStats, NetMessage, NetPort, message_wire_bytes
+from .base import IoEventStats
 from .costs import CostModel, DEFAULT_COSTS
-from .registry import (
-    Capabilities,
-    ModelInfo,
-    SimpleWiring,
-    consolidated_per_host,
-    register_model,
-)
-from .vrio.reliability import BlockDeviceError
+from .hostpath import HostBlockHandle, HostModel, register_host_model
 
-__all__ = ["NvmePtModel", "NvmePtBlockHandle"]
+__all__ = ["NvmePtModel"]
 
 # I/O queue-pair creation takes one admin command for the submission
 # queue and one for the completion queue — both trapped.
 _ADMIN_CMDS_PER_QPAIR = 2
 
 
-class NvmePtBlockHandle:
-    """Workload-facing block device backed by a passthrough queue pair."""
-
-    def __init__(self, model: "NvmePtModel", vm: Vm,
-                 device: StorageDevice) -> None:
-        self.model = model
-        self.vm = vm
-        self.device = device
-
-    def submit(self, request: BlockRequest) -> Event:
-        """Issue a block request through the VM's mapped I/O queue pair."""
-        done = self.model.env.event()
-        self.model.env.process(
-            self.model._blk_path(self.vm, self.device, request, done),
-            name=f"nvmept-blk:{self.vm.name}")
-        return done
-
-
-class NvmePtModel:
+class NvmePtModel(HostModel):
     """NVMe I/O-queue passthrough: exitless data path, trapped admin path."""
 
     name = "nvme_pt"
-    interposable = False
+    prefix = "nvmept"
+    surfaces_device_errors = True
 
     def __init__(self, env: Environment, costs: CostModel = DEFAULT_COSTS,
                  stats: Optional[IoEventStats] = None,
                  mtu: int = STANDARD_MTU,
                  tracer: Optional[Any] = None) -> None:
-        self.env = env
-        self.costs = costs
-        self.stats = stats if stats is not None else IoEventStats("nvme_pt")
-        self.mtu = mtu
-        self.tracer = tracer  # optional repro.sim.trace.Tracer
-        self._vf_of: Dict[Vm, NicFunction] = {}
-        self._port_of: Dict[Vm, NetPort] = {}
-        self._qpairs_of: Dict[str, int] = {}
+        super().__init__(env, None, [], costs, stats, None, mtu, tracer)
+        # The guest driver rings the shadow doorbell — a store the device
+        # polls, not a trapped MMIO — and drives the device stack itself.
+        c = self.costs
+        self._blk_submit = (c.guest_blk_per_req_cycles
+                            + c.nvme_shadow_doorbell_cycles)
+        self.mapped_qpairs = 0
         self.admin_commands = Counter("admin_commands")
         self.data_submissions = Counter("data_submissions")
+        self._submitted = self.data_submissions
 
     def register_telemetry(self, namespace: Any) -> None:
-        """Register this model's instruments into a metrics namespace."""
-        namespace.register_gauge("attached_vms",
-                                 lambda m=self: len(m._port_of))
+        super().register_telemetry(namespace)
         namespace.register_gauge("mapped_qpairs",
-                                 lambda m=self: sum(m._qpairs_of[k]
-                                                    for k in
-                                                    sorted(m._qpairs_of)))
+                                 lambda m=self: m.mapped_qpairs)
         namespace.register_counter("admin_commands", self.admin_commands)
         namespace.register_counter("data_submissions", self.data_submissions)
 
-    def attach_vm(self, vm: Vm, nic: Nic) -> NetPort:
-        """Assign a fresh VF on ``nic`` to ``vm``; returns its net port."""
-        if vm in self._port_of:
-            raise ValueError(f"{vm.name} already attached")
-        vm.stats = self.stats
-        vf = nic.create_function(f"nvmept-{vm.name}", notify_mode="eli")
-        port = NetPort(self.env, vm, vf.mac,
-                       transmit=lambda msg, v=vm: self._start_tx(v, msg))
-        vf.on_notify = lambda v=vm: self._on_rx(v)
-        vf.on_tx_complete = lambda v=vm: self._on_tx_complete(v)
-        self._vf_of[vm] = vf
-        self._port_of[vm] = port
-        self._qpairs_of[vm.name] = 0
-        return port
-
     def attach_block_device(self, vm: Vm,
-                            device: StorageDevice) -> NvmePtBlockHandle:
+                            device: StorageDevice) -> HostBlockHandle:
         """Map a per-VM I/O queue pair onto ``device``.
 
         Queue-pair creation goes through the trapped admin path — the one
         place this model still exits.
         """
-        if vm not in self._port_of:
-            raise ValueError(f"attach_vm({vm.name}) first")
-        self._qpairs_of[vm.name] += 1
+        handle = super().attach_block_device(vm, device)
+        self.mapped_qpairs += 1
         self.env.process(self._admin_create_qpair(vm),
                          name=f"nvmept-admin:{vm.name}")
-        return NvmePtBlockHandle(self, vm, device)
-
-    def add_interposer(self, interposer: Any) -> None:
-        raise NotImplementedError(
-            "queue-pair passthrough bypasses the host: interposition is "
-            "impossible, as with SRIOV (§2)")
-
-    # -- admin path (trapped) --------------------------------------------------
+        return handle
 
     def _admin_create_qpair(self, vm: Vm) -> Iterator[Event]:
         c = self.costs
@@ -135,109 +82,8 @@ class NvmePtModel:
             self.admin_commands.add()
             yield vm.sync_exit(extra_cycles=c.nvme_admin_cmd_cycles)
 
-    # -- network transmit (direct VF, as in the optimum) -----------------------
 
-    def _start_tx(self, vm: Vm, message: NetMessage) -> None:
-        self.env.process(self._tx_path(vm, message),
-                         name=f"nvmept-tx:{vm.name}")
-
-    def _tx_path(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
-        c = self.costs
-        if self.tracer:
-            self.tracer.point(message.message_id, "guest_tx",
-                              vm=vm.name, bytes=message.size_bytes)
-        cycles = int(c.guest_net_per_msg_cycles
-                     + c.guest_net_per_byte_cycles * message.size_bytes
-                     + c.ring_op_cycles)
-        yield vm.vcpu.execute(cycles, tag="net_tx")
-        frame = EthernetFrame(
-            src=self._vf_of[vm].mac, dst=message.dst, payload=message,
-            payload_bytes=message_wire_bytes(message.size_bytes, self.mtu),
-            kind=message.kind, created_ns=self.env.now)
-        self._vf_of[vm].transmit(frame, completion_interrupt=True)
-
-    def _on_tx_complete(self, vm: Vm) -> None:
-        vm.deliver_interrupt_exitless()
-
-    # -- network receive -------------------------------------------------------
-
-    def _on_rx(self, vm: Vm) -> None:
-        self.env.process(self._rx_path(vm), name=f"nvmept-rx:{vm.name}")
-
-    def _rx_path(self, vm: Vm) -> Iterator[Event]:
-        c = self.costs
-        vf = self._vf_of[vm]
-        port = self._port_of[vm]
-        while True:
-            ok, frame = vf.rx_ring.try_get()
-            if not ok:
-                break
-            message: NetMessage = frame.payload
-            extra = int(c.guest_net_per_msg_cycles
-                        + c.guest_net_per_byte_cycles * message.size_bytes)
-            yield vm.deliver_interrupt_exitless(extra_cycles=extra)
-            if self.tracer:
-                self.tracer.point(message.message_id, "guest_deliver",
-                                  vm=vm.name)
-            port.deliver(message)
-        vf.rearm()
-
-    # -- block data path (exitless) --------------------------------------------
-
-    def _blk_path(self, vm: Vm, device: StorageDevice, request: BlockRequest,
-                  done: Event) -> Iterator[Event]:
-        c = self.costs
-        request.issued_ns = self.env.now
-        self.data_submissions.add()
-        # Guest NVMe driver builds the command and rings the shadow
-        # doorbell — a store the device polls, not a trapped MMIO.  The
-        # guest also runs the whole driver stack itself: with the queue
-        # pair mapped in, there is no host software to offload it to.
-        yield vm.vcpu.execute(int(c.guest_blk_per_req_cycles
-                                  + c.nvme_shadow_doorbell_cycles
-                                  + device.cpu_cycles(request)),
-                              tag="blk_submit")
-        yield device.submit(request)
-        # Completion: the device posts to the mapped CQ and its MSI is
-        # delivered without host involvement; the guest reaps the entry.
-        yield vm.deliver_interrupt_exitless(extra_cycles=c.ring_op_cycles)
-        if request.meta.get("device_error"):
-            # A media error is a CQE with a bad status code: with no host
-            # software interposed there is nothing to retry it — the error
-            # goes straight to the guest (contrast §4.5's retransmitting
-            # reliability layer).
-            done.fail(BlockDeviceError(request, attempts=1))
-        else:
-            done.succeed(request)
-
-
-# -- registry wiring ----------------------------------------------------------
-
-def _build_simple(ctx: Any) -> SimpleWiring:
-    host_nic = ctx.vmhost.new_nic("external")
-    ctx.wire_loadgen(host_nic)
-    model = NvmePtModel(ctx.env, costs=ctx.costs, stats=ctx.stats)
-    ports = [model.attach_vm(vm, host_nic) for vm in ctx.vms]
-    return SimpleWiring(model=model, ports=ports, service_cores=[])
-
-
-def _consolidation_host(
-        ctx: Any, vmhost: Any,
-) -> Tuple["NvmePtModel", List[Core], Callable[[Vm], NetPort]]:
-    nic = vmhost.new_nic("external")
-    model = NvmePtModel(ctx.env, costs=ctx.costs, stats=ctx.stats)
-    return model, [], lambda vm, m=model, n=nic: m.attach_vm(vm, n)
-
-
-register_model(ModelInfo(
-    name="nvme_pt",
+register_host_model(
+    NvmePtModel, ranks=(60, 60, 40), polling=False, exitless=True,
     description=("NVMe I/O-queue passthrough: shadow doorbells, exitless "
-                 "data path, trapped admin queue (arXiv 2304.05148)"),
-    capabilities=Capabilities(net=True, block=True, polling=False,
-                              topologies=("simple", "consolidation"),
-                              ablation=False, exitless=True),
-    build_simple=_build_simple,
-    build_consolidation=lambda ctx: consolidated_per_host(
-        ctx, _consolidation_host),
-    tab_rank=60, throughput_rank=60, block_rank=40,
-))
+                 "data path, trapped admin queue (arXiv 2304.05148)"))

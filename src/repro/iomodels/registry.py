@@ -37,7 +37,6 @@ __all__ = [
     "model_names",
     "filter_models",
     "all_models",
-    "consolidated_per_host",
 ]
 
 
@@ -185,30 +184,3 @@ def filter_models(net: Optional[bool] = None,
             continue
         selected.append(info)
     return tuple(info.name for info in sorted(selected, key=key))
-
-
-def consolidated_per_host(
-        ctx: Any,
-        make_host_instance: Callable[[Any, Any], Tuple[Any, List[Any],
-                                                       Callable[[Any], Any]]],
-) -> ConsolidationWiring:
-    """The shared consolidation shape for host-local models.
-
-    Elvis, the baseline, and the locally serviced new models all
-    consolidate the same way: one model instance (and its service cores)
-    per VMhost.  ``make_host_instance(ctx, vmhost)`` returns
-    ``(model, service_cores, attach)`` where ``attach(vm)`` yields the
-    VM's net port.
-    """
-    wiring = ConsolidationWiring()
-    for h in range(ctx.spec.n_vmhosts):
-        vmhost = ctx.new_vmhost(h)
-        model, cores, attach = make_host_instance(ctx, vmhost)
-        wiring.models.append(model)
-        wiring.service_cores.extend(cores)
-        for _ in range(ctx.spec.vms_per_host):
-            vm = vmhost.new_vm()
-            wiring.vms.append(vm)
-            wiring.ports.append(attach(vm))
-            wiring.model_by_vm[vm.name] = model
-    return wiring

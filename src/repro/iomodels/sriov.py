@@ -10,135 +10,38 @@ because that is precisely what the paper says SRIOV cannot do.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Optional
 
-from ..guest.vm import Vm
-from ..hw.nic import Nic, NicFunction
-from ..net.frame import EthernetFrame, STANDARD_MTU
-from ..sim import Environment, Event
-from .base import IoEventStats, NetMessage, NetPort, message_wire_bytes
+from ..net.frame import STANDARD_MTU
+from ..sim import Environment
+from .base import IoEventStats
 from .costs import CostModel, DEFAULT_COSTS
-from .registry import Capabilities, ModelInfo, SimpleWiring, register_model
+from .hostpath import HostModel, register_host_model
 
 __all__ = ["OptimumModel"]
 
 
-class OptimumModel:
+class OptimumModel(HostModel):
     """SRIOV+ELI: direct device assignment, bare-metal-like performance."""
 
     name = "optimum"
-    interposable = False
+    prefix = "opt"
+    function_prefix = "vf"
 
     def __init__(self, env: Environment, costs: CostModel = DEFAULT_COSTS,
                  stats: Optional[IoEventStats] = None,
                  mtu: int = STANDARD_MTU,
                  tracer: Optional[Any] = None) -> None:
-        self.env = env
-        self.costs = costs
-        self.stats = stats if stats is not None else IoEventStats("optimum")
-        self.mtu = mtu
-        self.tracer = tracer  # optional repro.sim.trace.Tracer
-        self._vf_of: Dict[Vm, NicFunction] = {}
-        self._port_of: Dict[Vm, NetPort] = {}
+        super().__init__(env, None, [], costs, stats, None, mtu, tracer)
 
-    def register_telemetry(self, namespace: Any) -> None:
-        """Register this model's instruments into a metrics namespace.
-
-        SRIOV has no host datapath, so there is nothing beyond the VF
-        counters (registered with their NICs) and the VM population.
-        """
-        namespace.register_gauge("attached_vms",
-                                 lambda m=self: len(m._port_of))
-
-    def attach_vm(self, vm: Vm, nic: Nic) -> NetPort:
-        """Assign a fresh VF on ``nic`` to ``vm``; returns its net port."""
-        if vm in self._port_of:
-            raise ValueError(f"{vm.name} already attached")
-        vm.stats = self.stats
-        vf = nic.create_function(f"vf-{vm.name}", notify_mode="eli")
-        port = NetPort(self.env, vm, vf.mac,
-                       transmit=lambda msg, v=vm: self._start_tx(v, msg))
-        vf.on_notify = lambda v=vm: self._on_rx(v)
-        vf.on_tx_complete = lambda v=vm: self._on_tx_complete(v)
-        self._vf_of[vm] = vf
-        self._port_of[vm] = port
-        return port
-
-    def attach_block_device(self, vm: Vm, device: Any) -> None:
+    def attach_block_device(self, vm: Any, device: Any) -> None:
         raise NotImplementedError(
             "SRIOV cannot expose a host-managed block device "
             "(\"there is no such thing as an SRIOV ramdisk\", paper §5)")
 
-    def add_interposer(self, interposer: Any) -> None:
-        raise NotImplementedError(
-            "SRIOV bypasses the host: interposition is impossible (§2)")
 
-    # -- transmit -------------------------------------------------------------
-
-    def _start_tx(self, vm: Vm, message: NetMessage) -> None:
-        self.env.process(self._tx_path(vm, message), name=f"opt-tx:{vm.name}")
-
-    def _tx_path(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
-        c = self.costs
-        if self.tracer:
-            self.tracer.point(message.message_id, "guest_tx",
-                              vm=vm.name, bytes=message.size_bytes)
-        cycles = int(c.guest_net_per_msg_cycles
-                     + c.guest_net_per_byte_cycles * message.size_bytes
-                     + c.ring_op_cycles)
-        yield vm.vcpu.execute(cycles, tag="net_tx")
-        frame = EthernetFrame(
-            src=self._vf_of[vm].mac, dst=message.dst, payload=message,
-            payload_bytes=message_wire_bytes(message.size_bytes, self.mtu),
-            kind=message.kind, created_ns=self.env.now)
-        # completion_interrupt: the VF raises its send-complete interrupt,
-        # which ELI routes straight into the guest.
-        self._vf_of[vm].transmit(frame, completion_interrupt=True)
-
-    def _on_tx_complete(self, vm: Vm) -> None:
-        vm.deliver_interrupt_exitless()
-
-    # -- receive ----------------------------------------------------------------
-
-    def _on_rx(self, vm: Vm) -> None:
-        self.env.process(self._rx_path(vm), name=f"opt-rx:{vm.name}")
-
-    def _rx_path(self, vm: Vm) -> Iterator[Event]:
-        c = self.costs
-        vf = self._vf_of[vm]
-        port = self._port_of[vm]
-        while True:
-            ok, frame = vf.rx_ring.try_get()
-            if not ok:
-                break
-            message: NetMessage = frame.payload
-            extra = int(c.guest_net_per_msg_cycles
-                        + c.guest_net_per_byte_cycles * message.size_bytes)
-            yield vm.deliver_interrupt_exitless(extra_cycles=extra)
-            if self.tracer:
-                self.tracer.point(message.message_id, "guest_deliver",
-                                  vm=vm.name)
-            port.deliver(message)
-        vf.rearm()
-
-
-# -- registry wiring ----------------------------------------------------------
-
-def _build_simple(ctx: Any) -> SimpleWiring:
-    host_nic = ctx.vmhost.new_nic("external")
-    ctx.wire_loadgen(host_nic)
-    model = OptimumModel(ctx.env, costs=ctx.costs, stats=ctx.stats)
-    ports = [model.attach_vm(vm, host_nic) for vm in ctx.vms]
-    return SimpleWiring(model=model, ports=ports, service_cores=[])
-
-
-register_model(ModelInfo(
-    name="optimum",
+register_host_model(
+    OptimumModel, ranks=(10, 10, 100), polling=False, exitless=True,
+    block=False, topologies=("simple",),
     description=("SRIOV+ELI direct assignment: bare-metal performance, "
-                 "no interposition, no host-managed block devices"),
-    capabilities=Capabilities(net=True, block=False, polling=False,
-                              topologies=("simple",),
-                              ablation=False, exitless=True),
-    build_simple=_build_simple,
-    tab_rank=10, throughput_rank=10, block_rank=100,
-))
+                 "no interposition, no host-managed block devices"))

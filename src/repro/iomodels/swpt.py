@@ -17,227 +17,42 @@ never queues one VM's completions behind another's.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional
 
-from ..guest.vm import Vm
-from ..hw.cpu import Core
-from ..hw.nic import Nic, NicFunction
-from ..hw.storage import BlockRequest, StorageDevice
-from ..net.frame import EthernetFrame, STANDARD_MTU
-from ..sim import Counter, Environment, Event
-from .base import IoEventStats, NetMessage, NetPort, message_wire_bytes
+from ..hw import Core, Nic
+from ..net.frame import STANDARD_MTU
+from ..sim import Environment
+from .base import IoEventStats
 from .costs import CostModel, DEFAULT_COSTS
-from .registry import (
-    Capabilities,
-    ModelInfo,
-    SimpleWiring,
-    consolidated_per_host,
-    register_model,
-)
+from .hostpath import HostModel, register_host_model
 
-__all__ = ["SwptModel", "SwptBlockHandle"]
+__all__ = ["SwptModel"]
 
 
-class SwptBlockHandle:
-    """Workload-facing block device on a directly mapped queue."""
-
-    def __init__(self, model: "SwptModel", vm: Vm,
-                 device: StorageDevice) -> None:
-        self.model = model
-        self.vm = vm
-        self.device = device
-
-    def submit(self, request: BlockRequest) -> Event:
-        """Issue a block request on the VM's direct queue; completion is
-        noticed by the VM's polling thread and injected."""
-        done = self.model.env.event()
-        self.model.env.process(
-            self.model._blk_path(self.vm, self.device, request, done),
-            name=f"swpt-blk:{self.vm.name}")
-        return done
-
-
-class SwptModel:
+class SwptModel(HostModel):
     """Software-only passthrough: direct mapping, per-VM polling thread."""
 
     name = "swpt"
-    interposable = False
+    placement = "poll"
+    notify = "injection"
+    prefix = "swpt"
+    span = "poll_service"
 
     def __init__(self, env: Environment, nic: Nic, poll_cores: List[Core],
                  costs: CostModel = DEFAULT_COSTS,
                  stats: Optional[IoEventStats] = None,
                  mtu: int = STANDARD_MTU,
                  tracer: Optional[Any] = None) -> None:
-        self.env = env
-        self.nic = nic
-        self.costs = costs
-        self.stats = stats if stats is not None else IoEventStats("swpt")
-        self.mtu = mtu
-        self.tracer = tracer  # optional repro.sim.trace.Tracer
-        self._free_cores = list(poll_cores)
-        self._core_of: Dict[Vm, Core] = {}
-        self._fn_of: Dict[Vm, NicFunction] = {}
-        self._port_of: Dict[Vm, NetPort] = {}
-        self.polled_events = Counter("polled_events")
-
-    def register_telemetry(self, namespace: Any) -> None:
-        """Register this model's instruments into a metrics namespace."""
-        namespace.register_gauge("attached_vms",
-                                 lambda m=self: len(m._port_of))
-        namespace.register_gauge("polling_cores",
-                                 lambda m=self: len(m._core_of))
-        namespace.register_counter("polled_events", self.polled_events)
-
-    def attach_vm(self, vm: Vm) -> NetPort:
-        """Map the device into ``vm`` and pin it a polling core."""
-        if vm in self._port_of:
-            raise ValueError(f"{vm.name} already attached")
-        if not self._free_cores:
-            raise ValueError(
-                f"no polling core left for {vm.name}: swpt needs one "
-                "dedicated host core per VM")
-        vm.stats = self.stats
-        self._core_of[vm] = self._free_cores.pop(0)
-        fn = self.nic.create_function(f"swpt-{vm.name}", notify_mode="eli")
-        fn.on_notify = lambda v=vm: self._on_rx(v)
-        fn.on_tx_complete = lambda v=vm: self._on_tx_complete(v)
-        self._fn_of[vm] = fn
-        port = NetPort(self.env, vm, fn.mac,
-                       transmit=lambda msg, v=vm: self._start_tx(v, msg))
-        self._port_of[vm] = port
-        return port
-
-    def attach_block_device(self, vm: Vm,
-                            device: StorageDevice) -> SwptBlockHandle:
-        if vm not in self._port_of:
-            raise ValueError(f"attach_vm({vm.name}) first")
-        return SwptBlockHandle(self, vm, device)
-
-    def add_interposer(self, interposer: Any) -> None:
-        raise NotImplementedError(
-            "direct device mapping bypasses the host on the data path: "
-            "interposition is impossible, as with SRIOV (§2)")
-
-    # -- transmit (direct, exitless) -------------------------------------------
-
-    def _start_tx(self, vm: Vm, message: NetMessage) -> None:
-        self.env.process(self._tx_path(vm, message),
-                         name=f"swpt-tx:{vm.name}")
-
-    def _tx_path(self, vm: Vm, message: NetMessage) -> Iterator[Event]:
+        super().__init__(env, nic, list(poll_cores), costs, stats, None,
+                         mtu, tracer)
         c = self.costs
-        if self.tracer:
-            self.tracer.point(message.message_id, "guest_tx",
-                              vm=vm.name, bytes=message.size_bytes)
-        cycles = int(c.guest_net_per_msg_cycles
-                     + c.guest_net_per_byte_cycles * message.size_bytes
-                     + c.ring_op_cycles)
-        yield vm.vcpu.execute(cycles, tag="net_tx")
-        frame = EthernetFrame(
-            src=self._fn_of[vm].mac, dst=message.dst, payload=message,
-            payload_bytes=message_wire_bytes(message.size_bytes, self.mtu),
-            kind=message.kind, created_ns=self.env.now)
-        self._fn_of[vm].transmit(frame, completion_interrupt=True)
-
-    def _on_tx_complete(self, vm: Vm) -> None:
-        self.env.process(self._poll_inject(vm), name=f"swpt-txc:{vm.name}")
-
-    def _poll_inject(self, vm: Vm) -> Iterator[Event]:
-        """The polling thread notices a completion and injects it."""
-        c = self.costs
-        self.polled_events.add()
-        yield self._core_of[vm].execute(
-            c.swpt_poll_per_event_cycles + c.injection_cycles, tag="poll")
-        vm.deliver_interrupt_injected()
-
-    # -- receive ---------------------------------------------------------------
-
-    def _on_rx(self, vm: Vm) -> None:
-        self.env.process(self._rx_path(vm), name=f"swpt-rx:{vm.name}")
-
-    def _rx_path(self, vm: Vm) -> Iterator[Event]:
-        c = self.costs
-        fn = self._fn_of[vm]
-        port = self._port_of[vm]
-        while True:
-            ok, frame = fn.rx_ring.try_get()
-            if not ok:
-                break
-            message: NetMessage = frame.payload
-            self.polled_events.add()
-            span = None
-            if self.tracer:
-                span = self.tracer.begin(message.message_id, "poll_service",
-                                         core=self._core_of[vm].name,
-                                         direction="rx")
-            yield self._core_of[vm].execute(
-                c.swpt_poll_per_event_cycles + c.injection_cycles,
-                tag="poll")
-            if span is not None:
-                self.tracer.end(span)
-            extra = int(c.guest_net_per_msg_cycles
-                        + c.guest_net_per_byte_cycles * message.size_bytes)
-            yield vm.deliver_interrupt_injected(extra_cycles=extra)
-            if self.tracer:
-                self.tracer.point(message.message_id, "guest_deliver",
-                                  vm=vm.name)
-            port.deliver(message)
-        fn.rearm()
-
-    # -- block -----------------------------------------------------------------
-
-    def _blk_path(self, vm: Vm, device: StorageDevice, request: BlockRequest,
-                  done: Event) -> Iterator[Event]:
-        c = self.costs
-        request.issued_ns = self.env.now
-        # Direct submission: the guest drives the whole device stack
-        # itself (no host software between it and the queue).
-        yield vm.vcpu.execute(int(c.guest_blk_per_req_cycles
-                                  + c.ring_op_cycles
-                                  + device.cpu_cycles(request)),
-                              tag="blk_submit")
-        yield device.submit(request)
-        # Completion: no remapping hardware, so the polling thread reads
-        # the completion status and injects.
-        self.polled_events.add()
-        yield self._core_of[vm].execute(
-            c.swpt_poll_per_event_cycles + c.injection_cycles, tag="poll")
-        yield vm.deliver_interrupt_injected(extra_cycles=c.ring_op_cycles)
-        done.succeed(request)
+        # Every completion: the polling thread reads its status, then
+        # injects it.
+        self._rx_done = self._tx_done = self._blk_done = (
+            c.swpt_poll_per_event_cycles + c.injection_cycles, "poll")
 
 
-# -- registry wiring ----------------------------------------------------------
-
-def _build_simple(ctx: Any) -> SimpleWiring:
-    host_nic = ctx.vmhost.new_nic("external")
-    ctx.wire_loadgen(host_nic)
-    # One dedicated polling core per VM — the spec's sidecore count is
-    # ignored by design (no sidecore sharing in swpt).
-    cores = [ctx.vmhost.new_sidecore() for _ in ctx.vms]
-    model = SwptModel(ctx.env, host_nic, cores, costs=ctx.costs,
-                      stats=ctx.stats)
-    ports = [model.attach_vm(vm) for vm in ctx.vms]
-    return SimpleWiring(model=model, ports=ports, service_cores=cores)
-
-
-def _consolidation_host(
-        ctx: Any, vmhost: Any,
-) -> Tuple["SwptModel", List[Core], Callable[[Vm], NetPort]]:
-    nic = vmhost.new_nic("external")
-    cores = [vmhost.new_sidecore() for _ in range(ctx.spec.vms_per_host)]
-    model = SwptModel(ctx.env, nic, cores, costs=ctx.costs, stats=ctx.stats)
-    return model, cores, model.attach_vm
-
-
-register_model(ModelInfo(
-    name="swpt",
+register_host_model(
+    SwptModel, ranks=(80, 80, 60), polling=True, exitless=False,
     description=("software-only passthrough: direct mapping, per-VM host "
-                 "polling thread injects completions (arXiv 1508.06367)"),
-    capabilities=Capabilities(net=True, block=True, polling=True,
-                              topologies=("simple", "consolidation"),
-                              ablation=False, exitless=False),
-    build_simple=_build_simple,
-    build_consolidation=lambda ctx: consolidated_per_host(
-        ctx, _consolidation_host),
-    tab_rank=80, throughput_rank=80, block_rank=60,
-))
+                 "polling thread injects completions (arXiv 1508.06367)"))

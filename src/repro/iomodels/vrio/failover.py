@@ -23,15 +23,17 @@ This module implements both halves:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ...hw.cpu import Core
 from ...hw.nic import Nic
 from ...hw.storage import StorageDevice
 from ...hw.link import LinkEndpoint
 from ...hw.switch_fabric import Switch
-from ...iomodels.baseline import BaselineModel
 from .frontend import VrioClient, VrioModel
+
+if TYPE_CHECKING:
+    from ..baseline import BaselineModel
 
 __all__ = ["fail_iohost", "fall_back_to_local_virtio"]
 
@@ -72,6 +74,8 @@ def fall_back_to_local_virtio(model: VrioModel, client: VrioClient,
     Returns the local :class:`BaselineModel` serving the client (exposed
     for inspection; the client's original port keeps working).
     """
+    # The host-side models import this package (for BlockDeviceError).
+    from ..baseline import BaselineModel
     port = client.port
     local = BaselineModel(model.env, vmhost_nic, io_core, costs=model.costs,
                           stats=model.stats)

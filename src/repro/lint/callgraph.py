@@ -3,20 +3,23 @@
 Keys
 ----
 * function key: ``"<path>::<qualname>"`` — e.g.
-  ``repro/iomodels/elvis.py::ElvisModel._guest_tx`` or
-  ``repro/iomodels/elvis.py::<module>`` for module-level code.
+  ``repro/iomodels/hostpath.py::HostModel._guest_tx`` or
+  ``repro/iomodels/hostpath.py::<module>`` for module-level code.
 * class key: ``"<path>::<ClassName>"``.
 
 Resolution is deliberately conservative (an over-approximation of the
 real call graph): bare names resolve through the local scope chain
 (nested defs → module functions → classes → imports), ``self.m`` to the
 enclosing class's method, and any other attribute call by CHA — every
-method of that name anywhere in the project.  Functions passed by name
-(``functools.partial``, callbacks, builder kwargs) contribute
-*reference* edges: a referenced function is considered callable from the
-referencing one.  Over-approximation makes "unreachable" findings
-(SIM602's orphan charge sites, SIM604's orphan telemetry hooks) safe:
-anything we flag is unreachable under even the most generous resolution.
+method of that name anywhere in the project.  ``cls(...)`` in a method
+instantiates that class and every class deriving from it, since a
+classmethod runs on whichever subclass it is called through.  Functions
+passed by name (``functools.partial``, callbacks, builder kwargs)
+contribute *reference* edges: a referenced function is considered
+callable from the referencing one.  Over-approximation makes
+"unreachable" findings (SIM602's orphan charge sites, SIM604's orphan
+telemetry hooks) safe: anything we flag is unreachable under even the
+most generous resolution.
 """
 
 from __future__ import annotations
@@ -184,12 +187,39 @@ def _reference_targets(index: ProjectIndex, caller: str, name: str
     return resolve_callee(index, caller, name)
 
 
+def _class_families(index: ProjectIndex) -> Dict[str, Set[str]]:
+    """Class key → that class and every class deriving from it."""
+    children: Dict[str, Set[str]] = {}
+    for clskey, cls in index.classes.items():
+        module = f"{clskey.split('::', 1)[0]}::<module>"
+        for base in cls.bases:
+            for parent in resolve_callee(index, module, base).instantiates:
+                children.setdefault(parent, set()).add(clskey)
+    families: Dict[str, Set[str]] = {}
+    for clskey in index.classes:
+        family, stack = set(), [clskey]
+        while stack:
+            key = stack.pop()
+            if key not in family:
+                family.add(key)
+                stack.extend(children.get(key, ()))
+        families[clskey] = family
+    return families
+
+
 def build_callgraph(index: ProjectIndex) -> CallGraph:
     graph = CallGraph(index=index)
+    families = _class_families(index)
     for fnkey, fn in index.functions.items():
         edges = graph.edges.setdefault(fnkey, set())
         inst = graph.instantiations.setdefault(fnkey, set())
+        path, qualname = fnkey.split("::", 1)
+        own_class = (f"{path}::{qualname.split('.', 1)[0]}"
+                     if qualname.count(".") == 1 and fn.params[:1] == ("cls",)
+                     else None)
         for call in fn.calls:
+            if call.callee == "cls" and own_class in families:
+                inst.update(families[own_class])
             resolution = resolve_callee(index, fnkey, call.callee)
             edges.update(resolution.targets)
             inst.update(resolution.instantiates)

@@ -31,3 +31,29 @@ register_model(ModelInfo(
     name="live",
     build_consolidation=_build_consolidation,
 ))
+
+
+# Shared-base shape: the builder is a classmethod on the base, so which
+# class it constructs is the one it is called through.  ``cls(...)``
+# instantiates the base and every subclass, so both hooks are reachable.
+class FamilyBase:
+    def register_telemetry(self, namespace):        # quiet: reachable
+        namespace.counter("family.requests")
+
+    @classmethod
+    def build(cls, ctx):
+        return cls(ctx.env)
+
+
+class FamilyModel(FamilyBase):
+    def __init__(self, env):
+        self.env = env
+
+    def register_telemetry(self, namespace):        # quiet: reachable
+        namespace.counter("family.model.requests")
+
+
+register_model(ModelInfo(
+    name="family",
+    build_simple=FamilyModel.build,
+))

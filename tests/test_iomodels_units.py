@@ -7,12 +7,12 @@ from repro.cluster import TestbedSpec, build_testbed
 from repro.guest import Vm
 from repro.hw import Core, Nic
 from repro.iomodels import (
-    BaselineModel,
     ElvisModel,
     OptimumModel,
     VrioModel,
 )
 from repro.sim import Environment, ms
+from repro.telemetry import MetricsRegistry
 
 
 def test_optimum_assigns_unique_vfs():
@@ -63,21 +63,25 @@ def test_elvis_explicit_sidecore_pinning():
     assert model.sidecore_for(vm) is sidecores[1]
 
 
+def _txq_kick_counts(model_name):
+    """(kicks, kicks suppressed) of one message posted to the VM's tx
+    ring, as the model's telemetry reports them."""
+    tb = build_testbed(TestbedSpec(model=model_name, vms_per_host=1))
+    registry = MetricsRegistry()
+    tb.model.register_telemetry(registry.namespace("model"))
+    tb.ports[0].send(tb.clients[0].mac, 100)
+    tb.env.run(until=ms(1))
+    snapshot = registry.snapshot()
+    prefix = f"model.txq.{tb.vms[0].name}."
+    return snapshot[prefix + "kicks"], snapshot[prefix + "kicks_suppressed"]
+
+
 def test_elvis_rings_have_kicks_suppressed():
-    env = Environment()
-    model = ElvisModel(env, Nic(env, "nic"),
-                       [Core(env, "sc", 2.2, poll_mode=True)])
-    vm = Vm(env, "vm0", Core(env, "c0", 2.2))
-    model.attach_vm(vm)
-    assert model._tx_vq_of[vm].kick_notifications_enabled is False
+    assert _txq_kick_counts("elvis") == (0, 1)
 
 
 def test_baseline_rings_keep_kicks():
-    env = Environment()
-    model = BaselineModel(env, Nic(env, "nic"), Core(env, "io", 2.2))
-    vm = Vm(env, "vm0", Core(env, "c0", 2.2))
-    model.attach_vm(vm)
-    assert model._tx_vq_of[vm].kick_notifications_enabled is True
+    assert _txq_kick_counts("baseline") == (1, 0)
 
 
 def test_baseline_port_carries_dilation():

@@ -25,6 +25,9 @@ from repro.experiments.latency_experiments import FIG7_MODELS, TAB4_MODELS
 from repro.experiments.tab03_events import MODEL_ORDER
 from repro.experiments.throughput_experiments import FIG5_MODELS, FIG9_MODELS
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw import make_ramdisk
+from repro.interpose import AesEncryption
+from repro.iomodels import HostBlockHandle, HostModel
 from repro.iomodels.registry import (
     Capabilities,
     ModelInfo,
@@ -185,6 +188,44 @@ def test_swpt_pays_exits_and_injections_but_no_host_interrupts():
     assert row["guest_interrupts"] == 2
     assert row["host_interrupts"] == 0
     assert row["iohost_interrupts"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Host-side declarations against the registry: one set of facts.
+# ---------------------------------------------------------------------------
+
+HOST_SIDE = ("baseline", "elvis", "flexbso", "nvme_pt", "optimum", "swpt")
+
+
+def test_host_side_models_are_every_local_model():
+    assert HOST_SIDE == tuple(
+        name for name in model_names() if not name.startswith("vrio"))
+
+
+@pytest.mark.parametrize("name", HOST_SIDE)
+def test_host_model_declaration_matches_capabilities(name):
+    """A model's Table-3 declaration (placement, notification, kick) and
+    its registered capabilities must agree, and so must what it claims
+    and what its interposer and block hooks do."""
+    caps = get_model(name).capabilities
+    tb = build_testbed(TestbedSpec(model=name, with_clients=False))
+    model = tb.model
+    assert isinstance(model, HostModel) and model.name == name
+    polls = model.placement in ("sidecores", "engine", "poll")
+    assert polls == caps.polling
+    exitless = model.notify in ("ipi", "posted") and model.kick != "exit"
+    assert exitless == caps.exitless
+    try:
+        model.add_interposer(AesEncryption())
+        interposes = True
+    except NotImplementedError:
+        interposes = False
+    assert interposes == model.interposable
+    try:
+        handle = model.attach_block_device(tb.vms[0], make_ramdisk(tb.env))
+    except NotImplementedError:
+        handle = None
+    assert isinstance(handle, HostBlockHandle) == caps.block
 
 
 # ---------------------------------------------------------------------------

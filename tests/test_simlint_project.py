@@ -145,6 +145,12 @@ def test_sim604_follows_higher_order_builder_indirection():
         "factory passed by name through consolidated_per_host is reachable"
 
 
+def test_sim604_follows_classmethod_factory_to_subclasses():
+    result = run_fixture("sim604", "SIM604")
+    assert all("Family" not in f.message for f in result.findings), \
+        "cls(...) in a classmethod builds the base and its subclasses"
+
+
 # ---------------------------------------------------------------------------
 # Whole-tree invariants
 
