@@ -367,11 +367,10 @@ class HostModel:
                 break
             message: NetMessage = frame.payload
             if core is not None:
-                if self._backend:
-                    if not self.interposers.admit(message):
-                        continue
-                    if self.engine_dma_bytes is not None:
-                        self.engine_dma_bytes.add(message.size_bytes)
+                if self._backend and not self.interposers.admit(message):
+                    continue
+                if self.engine_dma_bytes is not None:
+                    self.engine_dma_bytes.add(message.size_bytes)
                 span = None
                 if self.tracer:
                     span = self.tracer.begin(message.message_id, self.span,
