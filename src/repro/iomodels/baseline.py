@@ -63,6 +63,6 @@ class BaselineModel(HostModel):
 
 
 register_host_model(
-    BaselineModel, ranks=(50, 50, 30), polling=False, exitless=False,
+    BaselineModel, ranks=(50, 50, 30),
     description=("KVM/virtio trap-and-emulate with vhost threads "
                  "(state of practice)"))

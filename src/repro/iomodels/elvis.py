@@ -56,6 +56,6 @@ class ElvisModel(HostModel):
 
 
 register_host_model(
-    ElvisModel, ranks=(30, 20, 10), polling=True, exitless=True,
+    ElvisModel, ranks=(30, 20, 10),
     description=("local sidecores polling virtio rings + ELI exitless "
                  "completions (state of the art, Har'El et al. ATC'13)"))

@@ -40,7 +40,6 @@ class FlexbsoModel(HostModel):
     span = "engine_service"
     service_tag = "engine"
     blk_tag = "blk_engine"
-    surfaces_device_errors = True
 
     def __init__(self, env: Environment, nic: Nic, engine: Core,
                  costs: CostModel = DEFAULT_COSTS,
@@ -62,6 +61,6 @@ class FlexbsoModel(HostModel):
 
 
 register_host_model(
-    FlexbsoModel, ranks=(70, 70, 50), polling=True, exitless=True,
+    FlexbsoModel, ranks=(70, 70, 50),
     description=("block offload to a per-host SmartNIC engine core with "
                  "NIC-side exitless completions (arXiv 2409.02381)"))

@@ -107,9 +107,6 @@ class HostModel:
     nic_mode = "eli"
     kick: Optional[str] = None
     interposable = False     # derived from ``placement``
-    # The passthrough models hand a device error to the guest as a failed
-    # completion: no host software is there to retry it (contrast §4.5).
-    surfaces_device_errors = False
     # Names: processes, NIC functions (defaults to ``prefix``), the
     # back-end tx process infix, the service span and execute tags.
     prefix = ""
@@ -436,7 +433,10 @@ class HostModel:
             yield core.execute(cycles, tag=tag)
         # The completion interrupt, then the guest block layer reaps.
         yield path.deliver(extra_cycles=self.costs.ring_op_cycles)
-        if self.surfaces_device_errors and request.meta.get("device_error"):
+        # A device error reaches the guest as a failed completion, as
+        # virtio-blk's VIRTIO_BLK_S_IOERR does: no host-side back end
+        # retries it (only vRIO does, §4.5).
+        if request.meta.get("device_error"):
             done.fail(BlockDeviceError(request, attempts=1))
         else:
             done.succeed(request)
@@ -490,13 +490,16 @@ class HostModel:
 
 
 def register_host_model(cls: Any, description: str,
-                        ranks: Tuple[int, int, int], polling: bool,
-                        exitless: bool, block: bool = True,
+                        ranks: Tuple[int, int, int], block: bool = True,
                         topologies: Tuple[str, ...] = _BOTH) -> None:
     """Register ``cls`` with builders for its topologies; ``ranks`` are
-    its (tab, throughput, block) ranks."""
-    capabilities = Capabilities(block=block, polling=polling,
-                                topologies=topologies, exitless=exitless)
+    its (tab, throughput, block) ranks.  Polling and exitlessness follow
+    from its declaration: a back end on cores of its own polls, and a
+    datapath with no trapped kick or completion is exitless."""
+    capabilities = Capabilities(
+        block=block, topologies=topologies,
+        polling=cls.placement in ("sidecores", "engine", "poll"),
+        exitless=cls.notify in ("ipi", "posted") and cls.kick != "exit")
     tab_rank, throughput_rank, block_rank = ranks
     register_model(ModelInfo(
         name=cls.name, description=description, capabilities=capabilities,

@@ -39,7 +39,6 @@ class NvmePtModel(HostModel):
 
     name = "nvme_pt"
     prefix = "nvmept"
-    surfaces_device_errors = True
 
     def __init__(self, env: Environment, costs: CostModel = DEFAULT_COSTS,
                  stats: Optional[IoEventStats] = None,
@@ -84,6 +83,6 @@ class NvmePtModel(HostModel):
 
 
 register_host_model(
-    NvmePtModel, ranks=(60, 60, 40), polling=False, exitless=True,
+    NvmePtModel, ranks=(60, 60, 40),
     description=("NVMe I/O-queue passthrough: shadow doorbells, exitless "
                  "data path, trapped admin queue (arXiv 2304.05148)"))

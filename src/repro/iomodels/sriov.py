@@ -41,7 +41,7 @@ class OptimumModel(HostModel):
 
 
 register_host_model(
-    OptimumModel, ranks=(10, 10, 100), polling=False, exitless=True,
+    OptimumModel, ranks=(10, 10, 100),
     block=False, topologies=("simple",),
     description=("SRIOV+ELI direct assignment: bare-metal performance, "
                  "no interposition, no host-managed block devices"))

@@ -53,6 +53,6 @@ class SwptModel(HostModel):
 
 
 register_host_model(
-    SwptModel, ranks=(80, 80, 60), polling=True, exitless=False,
+    SwptModel, ranks=(80, 80, 60),
     description=("software-only passthrough: direct mapping, per-VM host "
                  "polling thread injects completions (arXiv 1508.06367)"))

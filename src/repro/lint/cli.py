@@ -7,8 +7,8 @@ Modes
 -----
 * ``repro lint``              — per-file rules (SIM1xx–SIM5xx).
 * ``repro lint --project``    — per-file rules plus the whole-program
-  SIM6xx family (module graph → call graph → dataflow), with the
-  incremental summary cache (``--no-cache`` to disable).
+  SIM6xx family (module graph → call graph → dataflow).  Both go through
+  one lint cache (``--no-cache`` to bypass).
 * ``repro lint --changed``    — per-file rules over only the files that
   differ from ``git merge-base HEAD main`` (the pre-commit loop);
   falls back to the full tree outside a git checkout.
@@ -48,7 +48,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="also run the whole-program SIM6xx rules "
                              "(module graph, call graph, dataflow)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the incremental summary cache")
+                        help="neither read nor write the lint cache file")
     parser.add_argument("--changed", action="store_true",
                         help="lint only files differing from "
                              "git merge-base HEAD main "
@@ -128,12 +128,14 @@ def lint_tree(paths: Optional[List[Path]] = None,
     if only is not None:
         project = bool(select_rules(only, ProjectRule))
     if not project:
-        return lint_paths(paths=paths, only=only)
+        return lint_paths(paths=paths, only=only, use_cache=use_cache,
+                          cache_dir=cache_dir)
     # The whole tree: one parse per file feeds both layers.
     linter = ProjectLinter(only=only) if paths is None else None
     analysis = build_project(use_cache=use_cache, cache_dir=cache_dir,
                              linter=linter)
-    per_file = linter.run() if linter else lint_paths(paths=paths, only=only)
+    per_file = linter.run() if linter else lint_paths(
+        paths=paths, only=only, use_cache=use_cache, cache_dir=cache_dir)
     return _merge_results(per_file, run_project_rules(analysis, only=only))
 
 

@@ -18,6 +18,8 @@ Design
   and the whole-program :class:`~repro.lint.project.ProjectRule` family
   (``--project``).  Both runners fold inline suppressions the same way
   (:func:`fold_findings`).
+* One cache file (:class:`LintCache`) keeps each file's raw findings and
+  symbol summary, so an unchanged file is neither parsed nor walked.
 
 A per-file rule implements any subset of::
 
@@ -30,12 +32,18 @@ and reports via ``self.report(ctx, node, message)``.
 from __future__ import annotations
 
 import ast
+import hashlib
+import os
+import pickle
 import re
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Set, Tuple, Type, TypeVar, Union)
 
+from ..envvars import cache_dir_override
 from .findings import (Finding, expand_suppressions, is_suppressed,
                        parse_suppressions)
 
@@ -230,14 +238,97 @@ def fold_findings(findings: Iterable[Finding],
 Visitor = Callable[[ast.AST, FileContext], None]
 
 
+@dataclass
+class FileLint:
+    """One file's per-file lint outcome, before suppressions fold."""
+
+    path: str
+    findings: List[Finding]            # raw: every finding of the rules run
+    suppressions: Suppressions
+    parse_error: Optional[Finding] = None
+
+
+@dataclass
+class CacheEntry:
+    """The lint cache's record of one source of one file."""
+
+    digest: str                        # SHA-256 of (path, source)
+    lint: Optional[FileLint] = None    # a walk by every per-file rule
+    summary: Any = None                # the project layer's ModuleSummary
+
+
+def _cache_key() -> str:
+    """What every entry depends on besides its path and source.  SIM501
+    reads the model registry, so the registered names are part of it."""
+    from .. import iomodels
+
+    hasher = hashlib.sha256(b"%d.%d" % sys.version_info[:2])
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        hasher.update(path.name.encode() + b"\0" + path.read_bytes())
+    hasher.update(repr((sorted(registered_rules()),
+                        sorted(iomodels.model_names()))).encode())
+    return hasher.hexdigest()
+
+
+class LintCache:
+    """The one lint cache file, ``lint.pkl`` in ``cache_dir`` (default
+    ``$REPRO_CACHE_DIR`` or ``.repro_cache``): a key (:func:`_cache_key`),
+    then each path's pickled :class:`CacheEntry`.  Read once, written at
+    most once via a temporary file and ``replace`` (never torn; the last
+    writer wins).  Unreadable, corrupt or foreign data is a miss and write
+    errors are ignored; ``use_cache=False`` bypasses it."""
+
+    def __init__(self, cache_dir: Optional[Path] = None,
+                 use_cache: bool = True) -> None:
+        self.blobs: Dict[str, bytes] = {}
+        self.dirty = False
+        self.file = Path(cache_dir or cache_dir_override() or ".repro_cache",
+                         "lint.pkl") if use_cache else None
+        if self.file is not None:
+            self.key = _cache_key()
+            with suppress(Exception), self.file.open("rb") as handle:
+                if pickle.load(handle) == self.key:
+                    self.blobs = pickle.load(handle)
+
+    def get(self, path: str, source: str) -> CacheEntry:
+        """The stored entry for this source of ``path``, or a new one."""
+        digest = hashlib.sha256(f"{path}\0{source}".encode()).hexdigest()
+        with suppress(Exception):  # absent or corrupt: a miss
+            entry = pickle.loads(self.blobs[path])
+            if entry.digest == digest:
+                return entry
+        return CacheEntry(digest)
+
+    def put(self, path: str, entry: CacheEntry) -> None:
+        # One pickle per entry: one pickle of them all raised peak RSS 6%.
+        self.blobs[path] = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+        self.dirty = True
+
+    def save(self) -> None:
+        """Write the file if this run changed an entry."""
+        if self.file is None or not self.dirty:
+            return
+        tmp = self.file.with_name(f".lint.{os.getpid()}.tmp")
+        try:
+            self.file.parent.mkdir(parents=True, exist_ok=True)
+            with tmp.open("wb") as handle:
+                pickle.dump(self.key, handle, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(self.blobs, handle, pickle.HIGHEST_PROTOCOL)
+            tmp.replace(self.file)
+        except OSError:
+            with suppress(OSError):
+                tmp.unlink()
+
+
 class ProjectLinter:
     """Runs every per-file rule over a set of sources, one walk each."""
 
     def __init__(self, only: Optional[Iterable[str]] = None):
         self.rules: List[Rule] = [cls() for cls in select_rules(only, Rule)]
+        # Only a walk by every rule is cached or served from the cache.
+        self.complete = only is None
         self._visitors: Dict[type, List[Visitor]] = {}
-        self._suppressions: Dict[str, Suppressions] = {}
-        self._parse_errors: List[Finding] = []
+        self.files: List[FileLint] = []
 
     def _visitors_for(self, kind: type) -> List[Visitor]:
         method = f"visit_{kind.__name__}"
@@ -246,20 +337,29 @@ class ProjectLinter:
         self._visitors[kind] = visitors
         return visitors
 
-    def add_source(self, path: str, source: str) -> None:
-        """Parse and walk one file, dispatching to every rule."""
-        self.add_file(path, parse_file(path, source))
+    def add_cached(self, path: str, source: str, entry: CacheEntry,
+                   cache: LintCache) -> Union[FileContext, SyntaxError, None]:
+        """Take one file's findings from ``entry``, or parse and walk it,
+        store a complete walk in ``cache`` and return the parse."""
+        if self.complete and entry.lint is not None:
+            self.files.append(entry.lint)
+            return None
+        parsed = parse_file(path, source)
+        outcome = self.add_file(path, parsed)
+        if self.complete:
+            entry.lint = outcome
+            cache.put(path, entry)
+        return parsed
 
     def add_file(self, path: str,
-                 parsed: Union[FileContext, SyntaxError]) -> None:
+                 parsed: Union[FileContext, SyntaxError]) -> FileLint:
         """Walk one parsed file (see :func:`parse_file`)."""
         if isinstance(parsed, SyntaxError):
-            self._parse_errors.append(Finding(
+            self.files.append(FileLint(path, [], {}, Finding(
                 path=path, line=parsed.lineno or 1, col=parsed.offset or 0,
-                code="SIM000", message=f"file does not parse: {parsed.msg}"))
-            return
+                code="SIM000", message=f"file does not parse: {parsed.msg}")))
+            return self.files[-1]
         ctx = parsed
-        self._suppressions[path] = ctx.suppressions
         scopes = ctx.scopes
         # Breadth first; owners[i] is the innermost def around nodes[i].
         nodes: List[ast.AST] = [ctx.tree]
@@ -279,14 +379,23 @@ class ProjectLinter:
             children = child_nodes(node)
             nodes += children
             owners += [scope] * len(children)
+        findings: List[Finding] = []
         for rule in self.rules:
             rule.end_file(ctx)
+            findings += rule.findings
+            rule.findings.clear()
+        self.files.append(FileLint(path, findings, ctx.suppressions))
+        return self.files[-1]
 
     def run(self) -> LintResult:
         """Fold suppressions into the collected findings."""
+        suppressions = {lint.path: lint.suppressions for lint in self.files
+                        if lint.parse_error is None}
         return fold_findings(
-            (finding for rule in self.rules for finding in rule.findings),
-            self._suppressions, len(self._suppressions), self._parse_errors)
+            (finding for lint in self.files for finding in lint.findings),
+            suppressions, len(suppressions),
+            [lint.parse_error for lint in self.files
+             if lint.parse_error is not None])
 
 
 def lint_sources(files: Mapping[str, str],
@@ -294,7 +403,7 @@ def lint_sources(files: Mapping[str, str],
     """Lint in-memory sources (``{path: source}``) — the test entry point."""
     linter = ProjectLinter(only=only)
     for path in sorted(files):
-        linter.add_source(path, files[path])
+        linter.add_file(path, parse_file(path, files[path]))
     return linter.run()
 
 
@@ -316,9 +425,10 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
 def read_sources(paths: Iterable[Path],
                  root: Path) -> Iterator[Tuple[str, str]]:
     """``(path relative to root, source)`` per file, read one at a time."""
+    base = root.resolve()
     for file_path in iter_python_files(paths):
         try:
-            rel = file_path.resolve().relative_to(root.resolve()).as_posix()
+            rel = file_path.resolve().relative_to(base).as_posix()
         except ValueError:
             rel = file_path.as_posix()
         yield rel, file_path.read_text(encoding="utf-8")
@@ -326,12 +436,16 @@ def read_sources(paths: Iterable[Path],
 
 def lint_paths(paths: Optional[Iterable[Path]] = None,
                root: Optional[Path] = None,
-               only: Optional[Iterable[str]] = None) -> LintResult:
-    """Lint files on disk.  Defaults to the whole ``repro`` package."""
+               only: Optional[Iterable[str]] = None,
+               use_cache: bool = True,
+               cache_dir: Optional[Path] = None) -> LintResult:
+    """Lint files on disk (default: the ``repro`` package), cached."""
     root = root or default_lint_root()
     if paths is None:
         paths = [root / "repro"]
     linter = ProjectLinter(only=only)
+    cache = LintCache(cache_dir, use_cache and linter.complete)
     for rel, source in read_sources((Path(p) for p in paths), root):
-        linter.add_source(rel, source)
+        linter.add_cached(rel, source, cache.get(rel, source), cache)
+    cache.save()
     return linter.run()

@@ -28,8 +28,6 @@ __all__ = []
 # register_model() call, so the name set is the full catalog.
 from .. import iomodels
 
-_MODEL_NAMES = frozenset(iomodels.model_names())
-
 # The registry and the model modules themselves are the sanctioned home
 # for model-name literals (registration, capability shims, wiring).
 _SANCTIONED_PREFIX = "repro/iomodels/"
@@ -44,13 +42,17 @@ class HardCodedModelListRule(Rule):
                  "misses that code path; derive the list via "
                  "model_names()/filter_models() instead.")
 
+    def __init__(self) -> None:
+        super().__init__()
+        self.model_names = frozenset(iomodels.model_names())
+
     def _check(self, node, ctx: FileContext) -> None:
         if ctx.path.startswith(_SANCTIONED_PREFIX):
             return
         names = sorted({el.value for el in node.elts
                         if isinstance(el, ast.Constant)
                         and isinstance(el.value, str)
-                        and el.value in _MODEL_NAMES})
+                        and el.value in self.model_names})
         if len(names) >= 2:
             self.report(ctx, node,
                         f"hard-coded I/O-model list {names} shadows the "

@@ -10,33 +10,27 @@ SIM6xx rules live in the one rule registry
 
 Caching
 -------
-Per-file, keyed like the PR-3 sweep cache: content address =
-SHA-256 over the extractor version and the file's source, stored as a
-pickle under ``$REPRO_CACHE_DIR`` (or ``.repro_cache/``) in
-``lint_symbols/``.  A warm whole-tree run therefore extracts nothing —
-it unpickles summaries and re-runs only the (cheap) graph analysis.
-Under ``lint --project`` the per-file rules and a cache miss's summary
-share one parse of the file (:func:`build_project` with a ``linter``).
+Each file's entry in the one lint cache
+(:class:`~repro.lint.framework.LintCache`) holds its
+:class:`ModuleSummary` next to its per-file findings, so a warm ``lint
+--project`` parses nothing and re-runs only the (cheap) graph analysis.
+A file missing either part is parsed once to fill in both.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ..envvars import cache_dir_override
 from .callgraph import (CallGraph, ProjectIndex, build_callgraph,
                         build_index, resolve_callee)
 from .dataflow import run_taint_analysis
 from .findings import Finding
-from .framework import (LintResult, ProjectLinter, default_lint_root,
-                        fold_findings, parse_file, read_sources,
-                        register_rule, select_rules)
-from .symbols import (SYMBOLS_VERSION, ModuleSummary, extract_module,
-                      summarize_file)
+from .framework import (LintCache, LintResult, ProjectLinter,
+                        default_lint_root, fold_findings, parse_file,
+                        read_sources, register_rule, select_rules)
+from .symbols import ModuleSummary, extract_module, summarize_file
 
 __all__ = [
     "ProjectAnalysis",
@@ -44,11 +38,7 @@ __all__ = [
     "build_project",
     "build_project_from_sources",
     "run_project_rules",
-    "default_symbol_cache_dir",
 ]
-
-_CACHE_DIRNAME = ".repro_cache"
-_CACHE_SUBDIR = "lint_symbols"
 
 
 # ---------------------------------------------------------------------------
@@ -69,75 +59,31 @@ class ProjectAnalysis:
         return self.index.summaries
 
 
-# ---------------------------------------------------------------------------
-# Incremental summary cache
-
-
-def default_symbol_cache_dir() -> Path:
-    root = Path(cache_dir_override() or _CACHE_DIRNAME)
-    return root / _CACHE_SUBDIR
-
-
-def _source_digest(source: str) -> str:
-    hasher = hashlib.sha256()
-    hasher.update(f"simlint-symbols/v{SYMBOLS_VERSION}\0".encode())
-    hasher.update(source.encode("utf-8"))
-    return hasher.hexdigest()
-
-
-def _cache_load(cache_dir: Path, digest: str) -> Optional[ModuleSummary]:
-    entry = cache_dir / f"{digest}.pkl"
-    try:
-        with entry.open("rb") as handle:
-            summary = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    return summary if isinstance(summary, ModuleSummary) else None
-
-
-def _cache_store(cache_dir: Path, digest: str,
-                 summary: ModuleSummary) -> None:
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_dir / f".{digest}.tmp"
-        with tmp.open("wb") as handle:
-            pickle.dump(summary, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(cache_dir / f"{digest}.pkl")
-    except OSError:
-        pass  # caching is best-effort; analysis correctness never depends on it
-
-
 def build_project(root: Optional[Path] = None,
                   use_cache: bool = True,
                   cache_dir: Optional[Path] = None,
                   linter: Optional[ProjectLinter] = None) -> ProjectAnalysis:
-    """Summarize the whole tree (through the cache) and index it.
+    """Summarize the whole tree (through the lint cache) and index it.
 
-    One pass over the files: each is read and parsed once, walked by
-    ``linter``'s per-file rules when one is given, and summarized from
-    the same tree on a cache miss.  No tree outlives its file.
+    One pass, each file read once and parsed only when the cache lacks its
+    summary or ``linter``'s findings; one parse fills in both.
     """
     root = root or default_lint_root()
-    cache_dir = cache_dir or default_symbol_cache_dir()
+    cache = LintCache(cache_dir, use_cache)
     summaries: Dict[str, ModuleSummary] = {}
     hits = 0
     for rel, source in read_sources([root / "repro"], root):
-        digest = _source_digest(source)
-        summary = _cache_load(cache_dir, digest) if use_cache else None
-        if summary is not None and summary.path == rel:
-            hits += 1
-            if linter is not None:
-                linter.add_source(rel, source)
-        else:
-            parsed = parse_file(rel, source)
-            if linter is not None:
-                linter.add_file(rel, parsed)
-            summary = summarize_file(rel, parsed)
-            del parsed
-            if use_cache:
-                _cache_store(cache_dir, digest, summary)
-        summaries[rel] = summary
+        entry = cache.get(rel, source)
+        parsed = (None if linter is None
+                  else linter.add_cached(rel, source, entry, cache))
+        hits += entry.summary is not None
+        if entry.summary is None:
+            entry.summary = summarize_file(
+                rel, parse_file(rel, source) if parsed is None else parsed)
+            cache.put(rel, entry)
+        del parsed
+        summaries[rel] = entry.summary
+    cache.save()
 
     index = build_index(dict(sorted(summaries.items())))
     graph = build_callgraph(index)

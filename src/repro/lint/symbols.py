@@ -37,7 +37,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 from .framework import FileContext, child_nodes, parse_file, walk
 
 __all__ = [
-    "SYMBOLS_VERSION",
     "CallFact",
     "EscapeFact",
     "FunctionSummary",
@@ -46,9 +45,6 @@ __all__ = [
     "extract_module",
     "module_name_for",
 ]
-
-# Bump to invalidate every cached summary (schema or extraction change).
-SYMBOLS_VERSION = 5
 
 # The sanctioned RNG home: raw random.* is legal only here.
 RNG_HOME = "repro/sim/rng.py"

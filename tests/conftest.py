@@ -4,20 +4,34 @@ The verification-harness tests (goldens, determinism, invariants) all
 consume the same canonical scenario runs; ``scenario_run`` caches one run
 per (name, seed) for the whole session so the suite replays each scenario
 once instead of once per consumer.
+
+Every test runs with ``REPRO_CACHE_DIR`` pointing at one session-private
+directory, so the sweep and lint caches never land in the checkout's
+``.repro_cache/``.  A test of the default location unsets it itself.
 """
 
 from pathlib import Path
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import pytest
 
 from repro.cluster import TestbedSpec
+from repro.envvars import CACHE_DIR_ENV
 from repro.testing import ScenarioResult, run_scenario
 
 # The name starts with "Test", but it's a dataclass, not a test class.
 TestbedSpec.__test__ = False
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_cache_dir(tmp_path_factory) -> Iterator[Path]:
+    """One session-wide ``REPRO_CACHE_DIR`` outside the checkout."""
+    cache_dir = tmp_path_factory.mktemp("repro_cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(cache_dir))
+        yield cache_dir
 
 
 @pytest.fixture(scope="session")

@@ -26,8 +26,9 @@ from repro.experiments.tab03_events import MODEL_ORDER
 from repro.experiments.throughput_experiments import FIG5_MODELS, FIG9_MODELS
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw import make_ramdisk
+from repro.hw.storage import BlockRequest
 from repro.interpose import AesEncryption
-from repro.iomodels import HostBlockHandle, HostModel
+from repro.iomodels import BlockDeviceError, HostBlockHandle, HostModel
 from repro.iomodels.registry import (
     Capabilities,
     ModelInfo,
@@ -202,19 +203,25 @@ def test_host_side_models_are_every_local_model():
         name for name in model_names() if not name.startswith("vrio"))
 
 
+# (polling, exitless) per model, written out: the registry derives both
+# from the declaration, so re-deriving them here would test nothing.
+HOST_POLLING_EXITLESS = {
+    "baseline": (False, False), "elvis": (True, True),
+    "flexbso": (True, True), "nvme_pt": (False, True),
+    "optimum": (False, True), "swpt": (True, False),
+}
+
+
 @pytest.mark.parametrize("name", HOST_SIDE)
 def test_host_model_declaration_matches_capabilities(name):
-    """A model's Table-3 declaration (placement, notification, kick) and
-    its registered capabilities must agree, and so must what it claims
-    and what its interposer and block hooks do."""
+    """A model's Table-3 declaration (placement, notification, kick)
+    yields its registered capabilities, and what it claims matches what
+    its interposer and block hooks do."""
     caps = get_model(name).capabilities
     tb = build_testbed(TestbedSpec(model=name, with_clients=False))
     model = tb.model
     assert isinstance(model, HostModel) and model.name == name
-    polls = model.placement in ("sidecores", "engine", "poll")
-    assert polls == caps.polling
-    exitless = model.notify in ("ipi", "posted") and model.kick != "exit"
-    assert exitless == caps.exitless
+    assert (caps.polling, caps.exitless) == HOST_POLLING_EXITLESS[name]
     try:
         model.add_interposer(AesEncryption())
         interposes = True
@@ -226,6 +233,36 @@ def test_host_model_declaration_matches_capabilities(name):
     except NotImplementedError:
         handle = None
     assert isinstance(handle, HostBlockHandle) == caps.block
+
+
+@pytest.mark.parametrize("name", ("baseline", "elvis", "swpt"))
+def test_host_side_models_fail_errored_block_completions(name):
+    """No host-side back end retries a medium error (only vRIO does,
+    §4.5): like virtio-blk's VIRTIO_BLK_S_IOERR, the guest's completion
+    fails."""
+    tb = build_testbed(TestbedSpec(model=name, with_clients=False))
+    device = make_ramdisk(tb.env, name="errors")
+    handle = tb.model.attach_block_device(tb.vms[0], device)
+    device.set_error_window(ms(1))
+    outcomes = []
+
+    def reader():
+        sector = 0
+        while True:
+            request = BlockRequest(op="read", sector=sector, size_bytes=4096)
+            sector += 8
+            try:
+                yield handle.submit(request)
+                outcomes.append((request, True))
+            except BlockDeviceError:
+                outcomes.append((request, False))
+
+    tb.env.process(reader())
+    tb.env.run(until=ms(3))
+    errored = [ok for request, ok in outcomes
+               if request.meta.get("device_error")]
+    assert errored and not any(errored)
+    assert any(ok for _request, ok in outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.lint import (
     render_text,
     run_project_rules,
 )
+from repro.lint.framework import ProjectLinter, parse_file, read_sources
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = Path(__file__).parent / "lint_fixtures"
@@ -159,6 +160,24 @@ def test_rule_suppressed_inline(code):
     result = lint_sources(files, only=[code])
     assert result.findings == []
     assert result.suppressed == 1
+
+
+def test_per_file_rules_carry_no_state_across_files():
+    # The lint cache keeps each file's findings on their own, which is
+    # sound only if no rule's verdict on a file depends on the files
+    # walked before it.
+    cases = [item for case in CASES.values()
+             for item in case["files"].items()]
+    files = cases + list(read_sources([SRC_ROOT / "repro", FIXTURES],
+                                      SRC_ROOT)) + cases
+    together = ProjectLinter()
+    outcomes = [together.add_file(path, parse_file(path, source))
+                for path, source in files]
+    for (path, source), outcome in zip(files, outcomes):
+        alone = ProjectLinter().add_file(path, parse_file(path, source))
+        assert alone == outcome, path
+    assert sum(bool(outcome.findings) for outcome in outcomes) \
+        >= 2 * len(CASES)
 
 
 def test_every_registered_rule_has_a_fixture():

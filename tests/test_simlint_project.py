@@ -9,6 +9,7 @@ stay quiet on the sanctioned idiom sitting next to it.
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (build_project, build_project_from_sources,
-                        changed_paths, expand_suppressions, lint_sources,
-                        lint_tree, parse_suppressions, register_rule,
-                        registered_rules, render_rule_list,
+                        changed_paths, expand_suppressions, lint_paths,
+                        lint_sources, lint_tree, parse_suppressions,
+                        register_rule, registered_rules, render_rule_list,
                         run_project_rules)
-from repro.lint.framework import default_lint_root
+from repro.lint.framework import LintCache, default_lint_root
 from repro.lint.project import ProjectRule
 from repro.lint.symbols import extract_module
 
@@ -187,11 +188,9 @@ def test_every_project_rule_has_a_fixture_corpus():
 # Incremental cache
 
 
-def test_cache_warm_run_equivalent_and_all_hits(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache_dir = tmp_path / "lint_symbols"
-    cold = build_project(cache_dir=cache_dir)
-    warm = build_project(cache_dir=cache_dir)
+def test_cache_warm_run_equivalent_and_all_hits(tmp_path):
+    cold = build_project(cache_dir=tmp_path)
+    warm = build_project(cache_dir=tmp_path)
     assert cold.cache_misses == len(cold.summaries)
     assert warm.cache_hits == len(warm.summaries)
     assert warm.cache_misses == 0
@@ -199,11 +198,10 @@ def test_cache_warm_run_equivalent_and_all_hits(tmp_path, monkeypatch):
     warm_result = run_project_rules(warm)
     assert cold_result.findings == warm_result.findings
     assert sorted(cold.summaries) == sorted(warm.summaries)
+    assert [p.name for p in tmp_path.iterdir()] == ["lint.pkl"]
 
 
-def test_cold_project_lint_parses_each_file_once(monkeypatch):
-    # lint --project: the per-file rules and the symbol summaries share
-    # one parse per file.
+def _count_parses(monkeypatch) -> list:
     import ast
 
     parsed = []
@@ -214,6 +212,13 @@ def test_cold_project_lint_parses_each_file_once(monkeypatch):
         return real_parse(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
+    return parsed
+
+
+def test_cold_project_lint_parses_each_file_once(monkeypatch):
+    # lint --project: the per-file rules and the symbol summaries share
+    # one parse per file.
+    parsed = _count_parses(monkeypatch)
     result = lint_tree(project=True, use_cache=False)
     files = sorted((default_lint_root() / "repro").rglob("*.py"))
     assert result.files_checked == len(files)
@@ -222,13 +227,115 @@ def test_cold_project_lint_parses_each_file_once(monkeypatch):
 
 
 def test_cache_survives_corrupt_entries(tmp_path):
-    cache_dir = tmp_path / "lint_symbols"
-    build_project(cache_dir=cache_dir)
-    for entry in list(cache_dir.glob("*.pkl"))[:3]:
-        entry.write_bytes(b"not a pickle")
-    again = build_project(cache_dir=cache_dir)
-    assert again.cache_misses == 3
-    assert len(again.summaries) == len(list(again.summaries))
+    # A truncated cache file is an empty cache, and the run rewrites it.
+    build_project(cache_dir=tmp_path)
+    cache_file = tmp_path / "lint.pkl"
+    whole = cache_file.read_bytes()
+    cache_file.write_bytes(whole[:len(whole) // 2])
+    again = build_project(cache_dir=tmp_path)
+    assert again.cache_hits == 0
+    assert again.cache_misses == len(again.summaries)
+    assert cache_file.read_bytes() != whole[:len(whole) // 2]
+    assert build_project(cache_dir=tmp_path).cache_misses == 0
+    cache_file.write_bytes(b"not a pickle")
+    assert build_project(cache_dir=tmp_path).cache_hits == 0
+
+
+# A finding, a suppressed finding and a file that does not parse.
+CACHE_TREE = {
+    "repro/sim/clock.py": "import time\n\ndef now():\n"
+                          "    return time.time()\n",
+    "repro/sim/quiet.py": "import time\n\ndef now():\n"
+                          "    return time.time()  # simlint: disable=SIM101\n",
+    "repro/broken.py": "def f(:\n    pass\n",
+}
+
+
+def _write_tree(root: Path, files: dict) -> Path:
+    for rel, source in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(source, encoding="utf-8")
+    return root
+
+
+def test_cold_warm_and_uncached_lints_agree(tmp_path):
+    from repro.lint import render_json, render_text
+
+    root = _write_tree(tmp_path / "src", CACHE_TREE)
+    cache_dir = tmp_path / "cache"
+
+    def both(use_cache):
+        per_file = lint_paths(root=root, use_cache=use_cache,
+                              cache_dir=cache_dir)
+        project = run_project_rules(build_project(
+            root=root, use_cache=use_cache, cache_dir=cache_dir))
+        return per_file, project
+
+    runs = [both(True), both(True), both(False)]
+    per_file, project = runs[0]
+    assert [f.code for f in per_file.findings] == ["SIM101"]
+    assert per_file.suppressed == 1
+    assert [f.path for f in per_file.parse_errors] == ["repro/broken.py"]
+    assert project.parse_errors == per_file.parse_errors
+    for result in (per_file, project):
+        text, as_json = render_text(result), render_json(result)
+        for other in runs[1:]:
+            same = other[0] if result is per_file else other[1]
+            assert same == result
+            assert render_text(same) == text
+            assert render_json(same) == as_json
+
+
+def test_warm_runs_parse_nothing(tmp_path, monkeypatch):
+    lint_tree(cache_dir=tmp_path)
+    parsed = _count_parses(monkeypatch)
+    lint_tree(cache_dir=tmp_path)
+    assert parsed == []
+    # The first --project run parses every file, for its summary only.
+    lint_tree(project=True, cache_dir=tmp_path)
+    files = sorted((default_lint_root() / "repro").rglob("*.py"))
+    assert len(parsed) == len(files)
+    parsed.clear()
+    lint_tree(project=True, cache_dir=tmp_path)
+    lint_tree(cache_dir=tmp_path)
+    assert parsed == []
+
+
+def test_cache_entry_keyed_by_path_and_source(tmp_path):
+    # SIM303 exempts the kernel: one source, two paths, two verdicts.
+    source = "def drain(env):\n    return env._heap\n"
+    root = _write_tree(tmp_path / "src", {"repro/sim/drain.py": source,
+                                          "repro/cluster/drain.py": source})
+    for _ in range(2):
+        result = lint_paths(root=root, cache_dir=tmp_path / "cache")
+        assert [(f.path, f.code) for f in result.findings] == \
+            [("repro/cluster/drain.py", "SIM303")]
+    cache = LintCache(tmp_path / "cache")
+    assert sorted(cache.blobs) == ["repro/cluster/drain.py",
+                                   "repro/sim/drain.py"]
+
+
+def test_changed_model_registry_invalidates_cache(tmp_path, monkeypatch):
+    import repro.iomodels as iomodels
+
+    root = _write_tree(tmp_path / "src", {
+        "repro/experiments/pair.py": 'MODELS = ("alpha", "beta")\n'})
+    assert lint_paths(root=root, cache_dir=tmp_path).clean
+    real = iomodels.model_names()
+    monkeypatch.setattr(iomodels, "model_names",
+                        lambda: tuple(real) + ("alpha", "beta"))
+    result = lint_paths(root=root, cache_dir=tmp_path)
+    assert [f.code for f in result.findings] == ["SIM501"]
+
+
+def test_only_runs_store_no_findings(tmp_path):
+    lint_tree(only=["SIM101"], cache_dir=tmp_path)
+    assert not (tmp_path / "lint.pkl").exists()
+    lint_tree(only=["SIM101", "SIM601"], cache_dir=tmp_path)
+    entries = [pickle.loads(blob)
+               for blob in LintCache(tmp_path).blobs.values()]
+    assert entries and all(entry.summary is not None and entry.lint is None
+                           for entry in entries)
 
 
 # ---------------------------------------------------------------------------
