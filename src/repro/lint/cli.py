@@ -39,9 +39,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: the whole repro package)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the machine-readable JSON report")
-    parser.add_argument("--only", action="append", default=None,
-                        metavar="CODE",
-                        help="run only these rule codes (repeatable)")
+    parser.add_argument("--only", action="extend", metavar="CODES",
+                        type=lambda text: text.split(","),
+                        help="report only these rule codes (comma-separated, "
+                             "repeatable)")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     parser.add_argument("--project", action="store_true",
@@ -130,13 +131,14 @@ def lint_tree(paths: Optional[List[Path]] = None,
     if not project:
         return lint_paths(paths=paths, only=only, use_cache=use_cache,
                           cache_dir=cache_dir)
-    # The whole tree: one parse per file feeds both layers.
+    # The whole tree: one parse per file feeds both layers.  The project
+    # pass saves first, so lint_paths' later write keeps what it stored.
     linter = ProjectLinter(only=only) if paths is None else None
-    analysis = build_project(use_cache=use_cache, cache_dir=cache_dir,
-                             linter=linter)
+    project_result = run_project_rules(build_project(
+        use_cache=use_cache, cache_dir=cache_dir, linter=linter), only=only)
     per_file = linter.run() if linter else lint_paths(
         paths=paths, only=only, use_cache=use_cache, cache_dir=cache_dir)
-    return _merge_results(per_file, run_project_rules(analysis, only=only))
+    return _merge_results(per_file, project_result)
 
 
 def run_lint(args: argparse.Namespace) -> int:

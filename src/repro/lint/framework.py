@@ -16,8 +16,8 @@ Design
   field table that never visits the ``Load``/``Store``/``Del`` markers.
 * One registry holds every rule: the per-file :class:`Rule` families
   and the whole-program :class:`~repro.lint.project.ProjectRule` family
-  (``--project``).  Both runners fold inline suppressions the same way
-  (:func:`fold_findings`).
+  (``--project``).  Both runners filter by ``--only`` and fold inline
+  suppressions the same way (:func:`fold_findings`).
 * One cache file (:class:`LintCache`) keeps each file's raw findings and
   symbol summary, so an unchanged file is neither parsed nor walked.
 
@@ -221,11 +221,15 @@ class LintResult:
 def fold_findings(findings: Iterable[Finding],
                   suppressions: Mapping[str, Suppressions],
                   files_checked: int,
-                  parse_errors: Iterable[Finding]) -> LintResult:
-    """Drop (and count) the findings an inline suppression covers."""
+                  parse_errors: Iterable[Finding],
+                  only: Optional[Set[str]] = None) -> LintResult:
+    """Keep the findings whose code is in ``only`` (default: all), then
+    drop (and count) those an inline suppression covers."""
     active: List[Finding] = []
     suppressed = 0
     for finding in findings:
+        if only is not None and finding.code not in only:
+            continue
         if is_suppressed(finding, suppressions.get(finding.path, {})):
             suppressed += 1
         else:
@@ -248,13 +252,8 @@ class FileLint:
     parse_error: Optional[Finding] = None
 
 
-@dataclass
-class CacheEntry:
-    """The lint cache's record of one source of one file."""
-
-    digest: str                        # SHA-256 of (path, source)
-    lint: Optional[FileLint] = None    # a walk by every per-file rule
-    summary: Any = None                # the project layer's ModuleSummary
+def _dumps(value: Any) -> bytes:
+    return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
 
 
 def _cache_key() -> str:
@@ -272,15 +271,18 @@ def _cache_key() -> str:
 
 class LintCache:
     """The one lint cache file, ``lint.pkl`` in ``cache_dir`` (default
-    ``$REPRO_CACHE_DIR`` or ``.repro_cache``): a key (:func:`_cache_key`),
-    then each path's pickled :class:`CacheEntry`.  Read once, written at
-    most once via a temporary file and ``replace`` (never torn; the last
-    writer wins).  Unreadable, corrupt or foreign data is a miss and write
-    errors are ignored; ``use_cache=False`` bypasses it."""
+    ``$REPRO_CACHE_DIR`` or ``.repro_cache``): a key (:func:`_cache_key`);
+    per path, the SHA-256 of (path, source), a pickled :class:`FileLint`
+    and a pickled ``ModuleSummary`` (files under ``repro/``), apart so a
+    run unpickles only what it reads; then the project entry.  Written via
+    a temporary file and ``replace`` (the last writer wins); bad data is a
+    miss, write errors are ignored; ``use_cache=False`` bypasses it."""
 
     def __init__(self, cache_dir: Optional[Path] = None,
                  use_cache: bool = True) -> None:
-        self.blobs: Dict[str, bytes] = {}
+        self.blobs: Dict[str, Tuple[str, bytes, Optional[bytes]]] = {}
+        self.project: Optional[bytes] = None
+        self.misses = 0
         self.dirty = False
         self.file = Path(cache_dir or cache_dir_override() or ".repro_cache",
                          "lint.pkl") if use_cache else None
@@ -289,20 +291,44 @@ class LintCache:
             with suppress(Exception), self.file.open("rb") as handle:
                 if pickle.load(handle) == self.key:
                     self.blobs = pickle.load(handle)
+                    self.project = pickle.load(handle)
 
-    def get(self, path: str, source: str) -> CacheEntry:
-        """The stored entry for this source of ``path``, or a new one."""
-        digest = hashlib.sha256(f"{path}\0{source}".encode()).hexdigest()
-        with suppress(Exception):  # absent or corrupt: a miss
-            entry = pickle.loads(self.blobs[path])
-            if entry.digest == digest:
-                return entry
-        return CacheEntry(digest)
+    def get(self, path: str, digest: str,
+            summary: bool) -> Optional[Tuple[FileLint, Any]]:
+        """The findings (and summary, if asked) stored for ``digest``."""
+        with suppress(Exception):  # absent, corrupt or lacking a part
+            stored, lint, summary_part = self.blobs[path]
+            if stored == digest:
+                return (pickle.loads(lint),
+                        pickle.loads(summary_part) if summary else None)
+        return None
 
-    def put(self, path: str, entry: CacheEntry) -> None:
-        # One pickle per entry: one pickle of them all raised peak RSS 6%.
-        self.blobs[path] = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
-        self.dirty = True
+    def put(self, path: str, digest: str, lint: FileLint,
+            summary: Any) -> None:
+        self.misses += 1
+        if self.file is not None:
+            # Pickled per part: one pickle of all entries raised peak RSS 6%.
+            self.blobs[path] = (digest, _dumps(lint), None if summary is None
+                                else _dumps(summary))
+            self.dirty = True
+
+    def _tree_key(self, paths: Iterable[str]) -> str:
+        return hashlib.sha256(repr([(path, self.blobs[path][0])
+                                    for path in paths]).encode()).hexdigest()
+
+    def get_project(self, paths: Iterable[str]) -> Optional[List[Finding]]:
+        """The raw SIM6xx findings stored for ``paths``' entries, or None."""
+        with suppress(Exception):  # absent, truncated, foreign or stale
+            stored, findings = pickle.loads(self.project or b"")
+            if stored == self._tree_key(paths):
+                return findings
+        return None
+
+    def put_project(self, paths: Iterable[str],
+                    findings: List[Finding]) -> None:
+        if self.file is not None:
+            self.project = _dumps((self._tree_key(paths), findings))
+            self.dirty = True
 
     def save(self) -> None:
         """Write the file if this run changed an entry."""
@@ -312,8 +338,8 @@ class LintCache:
         try:
             self.file.parent.mkdir(parents=True, exist_ok=True)
             with tmp.open("wb") as handle:
-                pickle.dump(self.key, handle, pickle.HIGHEST_PROTOCOL)
-                pickle.dump(self.blobs, handle, pickle.HIGHEST_PROTOCOL)
+                for part in (self.key, self.blobs, self.project):
+                    pickle.dump(part, handle, pickle.HIGHEST_PROTOCOL)
             tmp.replace(self.file)
         except OSError:
             with suppress(OSError):
@@ -324,9 +350,9 @@ class ProjectLinter:
     """Runs every per-file rule over a set of sources, one walk each."""
 
     def __init__(self, only: Optional[Iterable[str]] = None):
-        self.rules: List[Rule] = [cls() for cls in select_rules(only, Rule)]
-        # Only a walk by every rule is cached or served from the cache.
-        self.complete = only is None
+        self.rules: List[Rule] = [cls() for cls in select_rules(None, Rule)]
+        self.only = None if only is None else {
+            cls.code for cls in select_rules(only, Rule)}
         self._visitors: Dict[type, List[Visitor]] = {}
         self.files: List[FileLint] = []
 
@@ -337,19 +363,24 @@ class ProjectLinter:
         self._visitors[kind] = visitors
         return visitors
 
-    def add_cached(self, path: str, source: str, entry: CacheEntry,
-                   cache: LintCache) -> Union[FileContext, SyntaxError, None]:
-        """Take one file's findings from ``entry``, or parse and walk it,
-        store a complete walk in ``cache`` and return the parse."""
-        if self.complete and entry.lint is not None:
-            self.files.append(entry.lint)
-            return None
+    def add_cached(self, path: str, source: str, cache: LintCache,
+                   summary: bool = False) -> Any:
+        """Take one file's findings (and, with ``summary``, its summary)
+        from ``cache``, or parse it once for both and store them (the
+        summary of any file under ``repro/``); return the summary."""
+        digest = hashlib.sha256(f"{path}\0{source}".encode()).hexdigest()
+        hit = cache.get(path, digest, summary)
+        if hit is not None:
+            self.files.append(hit[0])
+            return hit[1]
         parsed = parse_file(path, source)
-        outcome = self.add_file(path, parsed)
-        if self.complete:
-            entry.lint = outcome
-            cache.put(path, entry)
-        return parsed
+        lint = self.add_file(path, parsed)
+        built = None
+        if summary or (cache.file is not None and path.startswith("repro/")):
+            from .symbols import summarize_file
+            built = summarize_file(path, parsed)
+        cache.put(path, digest, lint, built)
+        return built
 
     def add_file(self, path: str,
                  parsed: Union[FileContext, SyntaxError]) -> FileLint:
@@ -388,14 +419,14 @@ class ProjectLinter:
         return self.files[-1]
 
     def run(self) -> LintResult:
-        """Fold suppressions into the collected findings."""
+        """Filter the collected findings by ``only``; fold suppressions."""
         suppressions = {lint.path: lint.suppressions for lint in self.files
                         if lint.parse_error is None}
         return fold_findings(
             (finding for lint in self.files for finding in lint.findings),
             suppressions, len(suppressions),
             [lint.parse_error for lint in self.files
-             if lint.parse_error is not None])
+             if lint.parse_error is not None], self.only)
 
 
 def lint_sources(files: Mapping[str, str],
@@ -444,8 +475,8 @@ def lint_paths(paths: Optional[Iterable[Path]] = None,
     if paths is None:
         paths = [root / "repro"]
     linter = ProjectLinter(only=only)
-    cache = LintCache(cache_dir, use_cache and linter.complete)
+    cache = LintCache(cache_dir, use_cache)
     for rel, source in read_sources((Path(p) for p in paths), root):
-        linter.add_cached(rel, source, cache.get(rel, source), cache)
+        linter.add_cached(rel, source, cache)
     cache.save()
     return linter.run()

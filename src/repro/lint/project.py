@@ -11,15 +11,18 @@ SIM6xx rules live in the one rule registry
 Caching
 -------
 Each file's entry in the one lint cache
-(:class:`~repro.lint.framework.LintCache`) holds its
-:class:`ModuleSummary` next to its per-file findings, so a warm ``lint
---project`` parses nothing and re-runs only the (cheap) graph analysis.
-A file missing either part is parsed once to fill in both.
+(:class:`~repro.lint.framework.LintCache`) holds its per-file findings
+and, under ``repro/``, its :class:`ModuleSummary`, pickled apart and
+built from one parse, so ``lint --project`` after ``lint`` parses
+nothing.  The project entry keeps the raw SIM6xx findings under a hash
+of every summarized file's path and entry digest: an unchanged tree runs
+no rule.  ``--only`` filters complete findings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -28,9 +31,9 @@ from .callgraph import (CallGraph, ProjectIndex, build_callgraph,
 from .dataflow import run_taint_analysis
 from .findings import Finding
 from .framework import (LintCache, LintResult, ProjectLinter,
-                        default_lint_root, fold_findings, parse_file,
-                        read_sources, register_rule, select_rules)
-from .symbols import ModuleSummary, extract_module, summarize_file
+                        default_lint_root, fold_findings, read_sources,
+                        register_rule, select_rules)
+from .symbols import ModuleSummary, extract_module
 
 __all__ = [
     "ProjectAnalysis",
@@ -50,13 +53,19 @@ class ProjectAnalysis:
     """Everything the SIM6xx rules consume."""
 
     index: ProjectIndex
-    graph: CallGraph
     cache_hits: int = 0
     cache_misses: int = 0
+    # Where run_project_rules finds and keeps the raw SIM6xx findings.
+    cache: LintCache = field(default_factory=lambda: LintCache(None, False))
 
     @property
     def summaries(self) -> Dict[str, ModuleSummary]:
         return self.index.summaries
+
+    @cached_property
+    def graph(self) -> CallGraph:
+        """Built on first use: a stored project result needs none."""
+        return build_callgraph(self.index)
 
 
 def build_project(root: Optional[Path] = None,
@@ -65,38 +74,28 @@ def build_project(root: Optional[Path] = None,
                   linter: Optional[ProjectLinter] = None) -> ProjectAnalysis:
     """Summarize the whole tree (through the lint cache) and index it.
 
-    One pass, each file read once and parsed only when the cache lacks its
-    summary or ``linter``'s findings; one parse fills in both.
+    One pass, each file read once and parsed only on a cache miss, where
+    the one parse feeds ``linter`` (default: a fresh one) and the summary.
     """
     root = root or default_lint_root()
     cache = LintCache(cache_dir, use_cache)
-    summaries: Dict[str, ModuleSummary] = {}
-    hits = 0
-    for rel, source in read_sources([root / "repro"], root):
-        entry = cache.get(rel, source)
-        parsed = (None if linter is None
-                  else linter.add_cached(rel, source, entry, cache))
-        hits += entry.summary is not None
-        if entry.summary is None:
-            entry.summary = summarize_file(
-                rel, parse_file(rel, source) if parsed is None else parsed)
-            cache.put(rel, entry)
-        del parsed
-        summaries[rel] = entry.summary
+    linter = linter or ProjectLinter()
+    summaries: Dict[str, ModuleSummary] = {
+        rel: linter.add_cached(rel, source, cache, summary=True)
+        for rel, source in read_sources([root / "repro"], root)}
     cache.save()
 
     index = build_index(dict(sorted(summaries.items())))
-    graph = build_callgraph(index)
-    return ProjectAnalysis(index=index, graph=graph, cache_hits=hits,
-                           cache_misses=len(summaries) - hits)
+    return ProjectAnalysis(
+        index=index, cache_hits=len(summaries) - cache.misses,
+        cache_misses=cache.misses, cache=cache)
 
 
 def build_project_from_sources(files: Mapping[str, str]) -> ProjectAnalysis:
     """In-memory variant — the fixture/test entry point."""
     summaries = {path: extract_module(path, files[path])
                  for path in sorted(files)}
-    index = build_index(summaries)
-    return ProjectAnalysis(index=index, graph=build_callgraph(index),
+    return ProjectAnalysis(index=build_index(summaries),
                            cache_misses=len(summaries))
 
 
@@ -118,9 +117,18 @@ class ProjectRule:
 
 def run_project_rules(project: ProjectAnalysis,
                       only: Optional[Iterable[str]] = None) -> LintResult:
-    """Run the SIM6xx rules among ``only`` and fold in suppressions."""
-    rules = select_rules(only, ProjectRule)
+    """Fold suppressions into every SIM6xx rule's raw findings (stored for
+    this tree, or run and stored) among ``only``."""
+    wanted = None if only is None else {
+        cls.code for cls in select_rules(only, ProjectRule)}
     summaries = project.summaries
+    paths = sorted(summaries)
+    findings = project.cache.get_project(paths)
+    if findings is None:
+        findings = [finding for cls in select_rules(None, ProjectRule)
+                    for finding in cls().run(project)]
+        project.cache.put_project(paths, findings)
+        project.cache.save()
     parse_errors = [
         Finding(path=s.path, line=s.parse_error[0], col=s.parse_error[1],
                 code="SIM000",
@@ -128,9 +136,8 @@ def run_project_rules(project: ProjectAnalysis,
         for s in (summaries[path] for path in sorted(summaries))
         if s.parse_error is not None]
     return fold_findings(
-        (finding for cls in rules for finding in cls().run(project)),
-        {path: s.suppressions for path, s in summaries.items()},
-        len(summaries), parse_errors)
+        findings, {path: s.suppressions for path, s in summaries.items()},
+        len(summaries), parse_errors, wanted)
 
 
 # ---------------------------------------------------------------------------

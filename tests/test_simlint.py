@@ -436,6 +436,33 @@ def test_retired_lint_options_are_usage_errors(args):
     assert f"unrecognized arguments: {args[0]}" in proc.stderr
 
 
+def _run_lint_in_process(capsys, *args):
+    import argparse
+
+    from repro.lint import add_lint_arguments, run_lint
+
+    parser = argparse.ArgumentParser()
+    add_lint_arguments(parser)
+    code = run_lint(parser.parse_args([*args, "--no-cache", "--json"]))
+    return code, capsys.readouterr().out
+
+
+def test_only_takes_comma_separated_codes(capsys):
+    tests = str(SRC_ROOT.parent / "tests")
+    listed = _run_lint_in_process(capsys, "--only", "SIM104,SIM501", tests)
+    repeated = _run_lint_in_process(capsys, "--only", "SIM104",
+                                    "--only", "SIM501", tests)
+    mixed = _run_lint_in_process(capsys, "--only", "SIM501",
+                                 "--only", "SIM104,SIM501", tests)
+    assert listed == repeated == mixed
+    assert listed[0] == 1
+    assert sorted(json.loads(listed[1])["counts"]) == ["SIM104", "SIM501"]
+    code, out = _run_lint_in_process(capsys, "--only", "SIM101,SIM999",
+                                     "--only", "BOGUS", tests)
+    assert code == 2
+    assert out.startswith("lint: unknown rule code(s): BOGUS, SIM999; ")
+
+
 def test_lint_tree_empty_paths_checks_no_files():
     # An empty path list (``--changed`` with nothing changed) means no
     # files, not the whole tree.

@@ -286,19 +286,42 @@ def test_cold_warm_and_uncached_lints_agree(tmp_path):
             assert render_json(same) == as_json
 
 
+def _count_rule_runs(monkeypatch) -> list:
+    runs = []
+    for code, cls in registered_rules().items():
+        if issubclass(cls, ProjectRule):
+            def counting_run(self, project, real=cls.run, code=code):
+                runs.append(code)
+                return real(self, project)
+            monkeypatch.setattr(cls, "run", counting_run)
+    return runs
+
+
+PROJECT_CODES = sorted(code for code, cls in registered_rules().items()
+                       if issubclass(cls, ProjectRule))
+
+
 def test_warm_runs_parse_nothing(tmp_path, monkeypatch):
-    lint_tree(cache_dir=tmp_path)
+    # The lint_tree benchmark's cycle from an empty cache: three `lint`
+    # ops, then two `lint --project`.  The first `lint` parses each file
+    # once and summarizes it from that parse; the first `--project` runs
+    # each SIM6xx rule once; every op prints what an uncached run prints.
+    from repro.lint import render_json, render_text
+
+    uncached = {project: lint_tree(project=project, use_cache=False)
+                for project in (False, True)}
+    files = sorted(path.relative_to(default_lint_root()).as_posix()
+                   for path in (default_lint_root() / "repro").rglob("*.py"))
     parsed = _count_parses(monkeypatch)
-    lint_tree(cache_dir=tmp_path)
-    assert parsed == []
-    # The first --project run parses every file, for its summary only.
-    lint_tree(project=True, cache_dir=tmp_path)
-    files = sorted((default_lint_root() / "repro").rglob("*.py"))
-    assert len(parsed) == len(files)
-    parsed.clear()
-    lint_tree(project=True, cache_dir=tmp_path)
-    lint_tree(cache_dir=tmp_path)
-    assert parsed == []
+    runs = _count_rule_runs(monkeypatch)
+    for op, project in enumerate([False] * 3 + [True] * 2):
+        result = lint_tree(project=project, cache_dir=tmp_path)
+        assert render_text(result) == render_text(uncached[project])
+        assert render_json(result) == render_json(uncached[project])
+        assert sorted(parsed) == (files if op == 0 else [])
+        assert sorted(runs) == (PROJECT_CODES if op == 3 else [])
+        parsed.clear()
+        runs.clear()
 
 
 def test_cache_entry_keyed_by_path_and_source(tmp_path):
@@ -328,14 +351,136 @@ def test_changed_model_registry_invalidates_cache(tmp_path, monkeypatch):
     assert [f.code for f in result.findings] == ["SIM501"]
 
 
-def test_only_runs_store_no_findings(tmp_path):
+def test_project_lint_of_listed_paths_keeps_their_entries(tmp_path,
+                                                         monkeypatch):
+    # The project pass and lint_paths each write the cache; neither write
+    # may drop what the other stored.
+    lint_tree(paths=[FIXTURES], project=True, cache_dir=tmp_path)
+    parsed = _count_parses(monkeypatch)
+    runs = _count_rule_runs(monkeypatch)
+    lint_tree(paths=[FIXTURES], project=True, cache_dir=tmp_path)
+    assert parsed == [] and runs == []
+
+
+def test_only_runs_store_complete_entries(tmp_path, monkeypatch):
+    # --only filters findings; the walk, and so the stored entry, is
+    # every rule's, with the summary of each file under repro/.
+    uncached = lint_tree(project=True, use_cache=False)
     lint_tree(only=["SIM101"], cache_dir=tmp_path)
-    assert not (tmp_path / "lint.pkl").exists()
-    lint_tree(only=["SIM101", "SIM601"], cache_dir=tmp_path)
-    entries = [pickle.loads(blob)
-               for blob in LintCache(tmp_path).blobs.values()]
-    assert entries and all(entry.summary is not None and entry.lint is None
-                           for entry in entries)
+    parts = LintCache(tmp_path).blobs.values()
+    assert parts and all(summary is not None for _, _, summary in parts)
+    parsed = _count_parses(monkeypatch)
+    assert lint_tree(project=True, cache_dir=tmp_path) == uncached
+    assert parsed == []
+
+
+@pytest.fixture(scope="module")
+def full_runs(tmp_path_factory):
+    """Each tree the --only tests lint, with its uncached full run."""
+    broken = _write_tree(tmp_path_factory.mktemp("tree"), CACHE_TREE)
+    return [(paths, lint_tree(paths=paths, project=True, use_cache=False))
+            for paths in (None, [FIXTURES], [broken])]
+
+
+@pytest.mark.parametrize("code", sorted(registered_rules()))
+def test_only_filters_the_full_run_by_code(code, full_runs, tmp_path):
+    # Cold (for each tree's own files), warm and uncached: the full run's
+    # findings of that code and its parse errors, with one suppressed count.
+    for paths, full in full_runs:
+        runs = [lint_tree(paths=paths, only=[code], cache_dir=tmp_path),
+                lint_tree(paths=paths, only=[code], cache_dir=tmp_path),
+                lint_tree(paths=paths, only=[code], use_cache=False)]
+        for result in runs:
+            assert result.findings == [f for f in full.findings
+                                       if f.code == code]
+            assert result.parse_errors == full.parse_errors
+            assert result.suppressed == runs[0].suppressed
+
+
+def test_only_runs_share_out_the_suppressed_count(full_runs, tmp_path):
+    for paths, full in full_runs:
+        assert full.suppressed == sum(
+            lint_tree(paths=paths, only=[code], cache_dir=tmp_path).suppressed
+            for code in registered_rules())
+    # The last tree has both, so neither check above is vacuous.
+    assert full.parse_errors and full.suppressed
+
+
+# ---------------------------------------------------------------------------
+# The stored project result
+
+
+# CACHE_TREE plus a file with two SIM603 findings.
+PROJECT_TREE = {**CACHE_TREE, "repro/app/callbacks.py":
+                (FIXTURES / "sim603" / "app" / "callbacks.py").read_text()}
+
+
+def test_project_result_follows_the_files_under_repro(tmp_path, monkeypatch):
+    root = _write_tree(tmp_path / "src", {
+        **PROJECT_TREE, "tools/gen.py": "import time\nT = time.time()\n"})
+    runs = _count_rule_runs(monkeypatch)
+
+    def project(use_cache=True):
+        return run_project_rules(build_project(
+            root=root, use_cache=use_cache, cache_dir=tmp_path / "cache"))
+
+    first = project()
+    assert [f.code for f in first.findings] == ["SIM603", "SIM603"]
+    assert sorted(runs) == PROJECT_CODES
+    runs.clear()
+    assert project() == first and runs == []
+    # A file outside repro/ is no input of the project rules.
+    (root / "tools" / "gen.py").write_text("# edited\nimport time\n")
+    lint_paths([root / "tools"], root=root, cache_dir=tmp_path / "cache")
+    assert project() == first and runs == []
+    # A comment above the findings moves them down a line.
+    callbacks = root / "repro" / "app" / "callbacks.py"
+    callbacks.write_text("# edited\n" + callbacks.read_text())
+    edited = project()
+    assert sorted(runs) == PROJECT_CODES
+    assert edited == project(use_cache=False)
+    assert [f.line for f in edited.findings] == \
+        [f.line + 1 for f in first.findings]
+
+
+def test_bad_project_entry_is_a_miss_and_rewritten(tmp_path, monkeypatch):
+    root = _write_tree(tmp_path / "src", PROJECT_TREE)
+    cache_dir = tmp_path / "cache"
+    expected = run_project_rules(build_project(root=root, use_cache=False))
+    assert run_project_rules(build_project(root=root, cache_dir=cache_dir)) \
+        == expected
+    good = LintCache(cache_dir).project
+    assert good is not None
+    runs = _count_rule_runs(monkeypatch)
+    for bad in (good[:len(good) // 2], pickle.dumps("a foreign entry"),
+                pickle.dumps(("another key", []))):
+        cache = LintCache(cache_dir)
+        cache.project, cache.dirty = bad, True
+        cache.save()
+        runs.clear()
+        assert run_project_rules(build_project(
+            root=root, cache_dir=cache_dir)) == expected
+        assert sorted(runs) == PROJECT_CODES
+        assert LintCache(cache_dir).project == good
+
+
+def test_warm_lint_unpickles_no_summary(tmp_path, monkeypatch):
+    from repro.lint.symbols import ModuleSummary
+
+    lint_tree(project=True, cache_dir=tmp_path)
+    loaded = []
+
+    def counting_setstate(self, state):
+        loaded.append(state["path"])
+        self.__dict__.update(state)
+
+    monkeypatch.setattr(ModuleSummary, "__setstate__", counting_setstate,
+                        raising=False)
+    lint_tree(cache_dir=tmp_path)
+    assert loaded == []
+    lint_tree(project=True, cache_dir=tmp_path)
+    assert len(loaded) == len(list((default_lint_root() / "repro")
+                                   .rglob("*.py")))
 
 
 # ---------------------------------------------------------------------------
