@@ -31,17 +31,16 @@ verify [--scenario NAME] [--update-goldens] [--list] [--telemetry]
     smoke.  Scenarios fan out over ``--jobs`` processes and replay from
     the result cache when the code is unchanged.
 lint [PATH ...] [--json] [--only CODE] [--list-rules] [--project]
-     [--no-cache] [--changed]
+     [--no-cache]
     Run simlint, the AST-based static analyzer enforcing the simulator's
     invariants: SIM1xx determinism, SIM2xx cycle-ledger integrity,
     SIM3xx event-callback safety, SIM4xx telemetry hygiene, SIM5xx model
     catalog.  ``--project`` adds the whole-program SIM6xx rules (module
-    graph, call graph, dataflow: RNG provenance, ledger flow, callback
-    escape, telemetry reachability), with per-file symbol summaries
-    cached by content hash (``--no-cache`` bypasses).  ``--changed``
-    lints only files differing from ``git merge-base HEAD main``.  An
-    inline ``# simlint: disable=CODE`` is the one way to accept a
-    finding.  Exit 0 when clean, 1 on findings, 2 on usage errors.
+    graph, call graph, dataflow: RNG provenance, ledger flow, telemetry
+    reachability), with per-file symbol summaries cached by content hash
+    (``--no-cache`` bypasses).  An inline ``# simlint: disable=CODE`` is
+    the one way to accept a finding.  Exit 0 when clean, 1 on findings,
+    2 on usage errors.
 faults [CAMPAIGN ...] [--all] [--list] [--seed N] [--jobs N]
     Run fault-injection campaigns (IOhost crash, link loss/blackout, NIC
     failure, storage error bursts, sidecore stalls, live migration) and

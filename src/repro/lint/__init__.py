@@ -8,22 +8,23 @@ One walk per file and one registry of rules, in six families:
 * SIM2xx (:mod:`.ledger`) — cycle-ledger integrity: magic cycle
   literals charged to cores.
 * SIM3xx (:mod:`.events`) — event-callback safety: mutable default
-  arguments, late-bound loop-variable capture, scheduler-internals
-  pokes.
+  arguments, deferred closures reading a local rebound after they are
+  made (a loop variable, or a local reassigned after the subscription
+  point), scheduler-internals pokes.
 * SIM4xx (:mod:`.telemetry`) — telemetry hygiene: malformed metric
-  names, namespace collisions, spans opened but never closed.
+  names, namespace collisions, spans opened but never closed, timelines
+  and SLO probes never consumed, literal window widths.
 * SIM5xx (:mod:`.models`) — hand-written I/O-model name lists.
 * SIM6xx (:mod:`.project`) — whole-program rules over the module
   graph / symbol tables / call graph (``--project``): interprocedural
-  RNG provenance, cycle-ledger flow, event-callback escape, telemetry
-  hook reachability.
+  RNG provenance, cycle-ledger flow, telemetry hook reachability.
 
 An inline ``# simlint: disable=CODE`` is the one way to accept a
 finding.  Entry points: ``python -m repro lint`` and
 ``repro.lint.lint_tree``.
 """
 
-from .cli import add_lint_arguments, changed_paths, lint_tree, run_lint
+from .cli import add_lint_arguments, lint_tree, run_lint
 from .findings import (Finding, expand_suppressions, is_suppressed,
                        parse_suppressions)
 from .framework import (FileContext, LintResult, ProjectLinter, Rule,
@@ -44,7 +45,6 @@ __all__ = [
     "add_lint_arguments",
     "build_project",
     "build_project_from_sources",
-    "changed_paths",
     "default_lint_root",
     "expand_suppressions",
     "is_suppressed",

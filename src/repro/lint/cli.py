@@ -9,9 +9,6 @@ Modes
 * ``repro lint --project``    — per-file rules plus the whole-program
   SIM6xx family (module graph → call graph → dataflow).  Both go through
   one lint cache (``--no-cache`` to bypass).
-* ``repro lint --changed``    — per-file rules over only the files that
-  differ from ``git merge-base HEAD main`` (the pre-commit loop);
-  falls back to the full tree outside a git checkout.
 
 A finding is accepted in one way only: an inline
 ``# simlint: disable=CODE`` on its statement.
@@ -22,7 +19,6 @@ Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
-import subprocess
 from pathlib import Path
 from typing import List, Optional
 
@@ -30,7 +26,7 @@ from .framework import (LintResult, ProjectLinter, default_lint_root,
                         lint_paths, select_rules)
 from .report import render_json, render_rule_list, render_text
 
-__all__ = ["add_lint_arguments", "run_lint", "lint_tree", "changed_paths"]
+__all__ = ["add_lint_arguments", "run_lint", "lint_tree"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -50,59 +46,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "(module graph, call graph, dataflow)")
     parser.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the lint cache file")
-    parser.add_argument("--changed", action="store_true",
-                        help="lint only files differing from "
-                             "git merge-base HEAD main "
-                             "(full tree outside a git checkout)")
-
-
-def changed_paths(root: Optional[Path] = None) -> Optional[List[Path]]:
-    """Python files changed vs ``git merge-base HEAD main``.
-
-    Returns ``None`` when git is unavailable or we are outside a
-    checkout — callers then fall back to the full tree.  An empty list
-    is a real answer: nothing changed.
-    """
-    root = root or default_lint_root()
-    try:
-        base = subprocess.run(
-            ["git", "merge-base", "HEAD", "main"], cwd=root,
-            capture_output=True, text=True, timeout=30)
-        if base.returncode != 0:
-            return None
-        merge_base = base.stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", merge_base], cwd=root,
-            capture_output=True, text=True, timeout=30)
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"], cwd=root,
-            capture_output=True, text=True, timeout=30)
-        if diff.returncode != 0:
-            return None
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"], cwd=root,
-            capture_output=True, text=True, timeout=30)
-        if top.returncode != 0:
-            return None
-        repo_root = Path(top.stdout.strip())
-    except (OSError, subprocess.SubprocessError):
-        return None
-    names = diff.stdout.splitlines()
-    if untracked.returncode == 0:
-        names += untracked.stdout.splitlines()
-    out: List[Path] = []
-    for name in names:
-        if not name.endswith(".py"):
-            continue
-        candidate = repo_root / name
-        if candidate.is_file():
-            try:
-                candidate.resolve().relative_to(
-                    (root / "repro").resolve())
-            except ValueError:
-                continue
-            out.append(candidate)
-    return sorted(set(out))
 
 
 def _merge_results(per_file: LintResult, project: LintResult) -> LintResult:
@@ -145,16 +88,8 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_rule_list())
         return 0
-    paths: Optional[List[Path]] = list(args.paths) or None
-    if args.changed and not args.paths:
-        changed = changed_paths()
-        if changed is not None:
-            if not changed and not args.project:
-                print("lint: no files changed vs merge-base; nothing to do")
-                return 0
-            paths = changed
     try:
-        result = lint_tree(paths=paths, only=args.only,
+        result = lint_tree(paths=list(args.paths) or None, only=args.only,
                            project=args.project,
                            use_cache=not args.no_cache)
     except KeyError as exc:

@@ -285,36 +285,6 @@ class LedgerFlowRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# SIM603 — event-callback escape
-
-
-@register_rule
-class CallbackEscapeRule(ProjectRule):
-    code = "SIM603"
-    name = "callback-escape"
-    rationale = ("a callback handed to the event system runs later: if it "
-                 "captures a local that is reassigned after the "
-                 "subscription point, it will observe the new value, not "
-                 "the one in scope when it was scheduled — bind with a "
-                 "default (lambda v=v: ...) or pass the value explicitly")
-
-    def run(self, project: ProjectAnalysis) -> List[Finding]:
-        findings: List[Finding] = []
-        for path, summary in project.summaries.items():
-            for fn in summary.functions.values():
-                for escape in fn.escapes:
-                    findings.append(Finding(
-                        path=path, line=escape.lineno, col=escape.col,
-                        code=self.code,
-                        message=(f"callback passed to {escape.sink}() "
-                                 f"captures local '{escape.variable}', "
-                                 f"which is reassigned at line "
-                                 f"{escape.mutated_at} after the "
-                                 f"subscription point")))
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # SIM604 — telemetry reachability
 
 

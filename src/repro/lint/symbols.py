@@ -38,7 +38,6 @@ from .framework import FileContext, child_nodes, parse_file, walk
 
 __all__ = [
     "CallFact",
-    "EscapeFact",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
@@ -58,7 +57,7 @@ TIME_SINK_METHODS = frozenset({"timeout", "call_soon", "schedule_at",
                                "schedule", "sleep"})
 
 # Call chains whose callback/argument escapes into the event system
-# (SIM601 sinks, SIM603 subscription points).
+# (SIM601 sinks, SIM302 subscription points).
 EVENT_SINK_METHODS = frozenset({"call_soon", "schedule_at", "timeout",
                                 "add_callback", "prepend_callback",
                                 "process", "subscribe"})
@@ -88,17 +87,6 @@ class CallFact:
     func_args: Tuple[str, ...]               # callables passed by name
 
 
-@dataclass(frozen=True)
-class EscapeFact:
-    """SIM603 raw material: a callback capturing a later-mutated local."""
-
-    lineno: int          # subscription call site
-    col: int
-    sink: str            # e.g. "add_callback"
-    variable: str        # the captured local
-    mutated_at: int      # line of the post-subscription assignment
-
-
 @dataclass
 class FunctionSummary:
     """Flow facts for one function, method, or ``<module>`` body."""
@@ -114,7 +102,6 @@ class FunctionSummary:
     returns: List[FrozenSet[str]] = field(default_factory=list)
     charge_lines: List[int] = field(default_factory=list)
     time_sink_lines: List[int] = field(default_factory=list)
-    escapes: List[EscapeFact] = field(default_factory=list)
     stored_refs: List[str] = field(default_factory=list)
     # ^ dotted chains assigned somewhere (``nic.on_notify = self._on_rx``):
     #   address-taken callables the call graph turns into reference edges.
@@ -190,11 +177,6 @@ class _FunctionExtractor:
         self.is_rng_home = is_rng_home
         self.env: Dict[str, Set[str]] = {
             name: {f"PARAM:{i}"} for i, name in enumerate(summary.params)}
-        # textual assignment lines per local, for SIM603's
-        # "mutated after the subscription point" check.
-        self.assign_lines: Dict[str, List[int]] = {}
-        self.pending_escapes: List[Tuple[ast.AST, str, List[str]]] = []
-        self._nested_free: Dict[str, Tuple[str, ...]] = {}
 
     # -- origins ------------------------------------------------------------
 
@@ -271,8 +253,6 @@ class _FunctionExtractor:
     def env_update_from(self, target: ast.AST, origins: Set[str]) -> None:
         for name in _target_names(target):
             self.env[name] = set(origins)
-            self.assign_lines.setdefault(name, []).append(
-                getattr(target, "lineno", 0))
 
     # -- calls --------------------------------------------------------------
 
@@ -318,8 +298,6 @@ class _FunctionExtractor:
             self.summary.charge_lines.append(node.lineno)
         if last in TIME_SINK_METHODS:
             self.summary.time_sink_lines.append(node.lineno)
-        if last in EVENT_SINK_METHODS:
-            self._note_escapes(node, last)
         if last == "ModelInfo":
             self._note_builders(node)
         return index
@@ -347,50 +325,6 @@ class _FunctionExtractor:
                     self.module.registered_builders.append(
                         (ref, kw.value.lineno))
 
-    # -- SIM603: callback capturing a later-mutated local -------------------
-
-    def _note_escapes(self, node: ast.Call, sink: str) -> None:
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            captured = self._captured_locals(arg)
-            if captured:
-                self.pending_escapes.append((node, sink, captured))
-
-    def _captured_locals(self, arg: ast.AST) -> List[str]:
-        if isinstance(arg, ast.Lambda):
-            bound = {a.arg for a in arg.args.args + arg.args.kwonlyargs}
-            if arg.args.vararg:
-                bound.add(arg.args.vararg.arg)
-            if arg.args.kwarg:
-                bound.add(arg.args.kwarg.arg)
-            body: List[ast.AST] = [arg.body]
-        elif isinstance(arg, ast.Name):
-            # A nested def previously extracted: captured names were
-            # stashed on the summary environment via _nested_free.
-            return [name for name in self._nested_free.get(arg.id, ())
-                    if name in self.env]
-        else:
-            return []
-        free: List[str] = []
-        for expr in body:
-            for child in walk(expr):
-                if isinstance(child, ast.Name) \
-                        and isinstance(child.ctx, ast.Load) \
-                        and child.id not in bound \
-                        and child.id in self.env \
-                        and child.id not in free:
-                    free.append(child.id)
-        return free
-
-    def finish_escapes(self) -> None:
-        for node, sink, captured in self.pending_escapes:
-            for var in captured:
-                later = [line for line in self.assign_lines.get(var, ())
-                         if line > node.lineno]
-                if later:
-                    self.summary.escapes.append(EscapeFact(
-                        lineno=node.lineno, col=node.col_offset, sink=sink,
-                        variable=var, mutated_at=min(later)))
-
     # -- statements ---------------------------------------------------------
 
     def walk_body(self, body: List[ast.stmt]) -> None:
@@ -411,8 +345,6 @@ class _FunctionExtractor:
             if isinstance(stmt.target, ast.Name):
                 merged = set(self.env.get(stmt.target.id, ())) | origins
                 self.env[stmt.target.id] = merged
-                self.assign_lines.setdefault(
-                    stmt.target.id, []).append(stmt.lineno)
             elif isinstance(stmt.target, ast.Attribute):
                 self.summary.attr_writes.append(
                     (stmt.target.attr, frozenset(origins)))
@@ -446,23 +378,6 @@ class _FunctionExtractor:
             for child in child_nodes(stmt):
                 if isinstance(child, ast.expr):
                     self.origins_of(child)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested def: record which enclosing locals it reads so a
-            # later by-name subscription can run the SIM603 check.
-            local = {a.arg for a in stmt.args.args + stmt.args.kwonlyargs}
-            loads: List[str] = []
-            for child in walk(stmt):
-                if isinstance(child, (ast.Assign, ast.AugAssign)):
-                    targets = child.targets if isinstance(
-                        child, ast.Assign) else [child.target]
-                    for target in targets:
-                        local.update(_target_names(target))
-                elif isinstance(child, ast.Name) \
-                        and isinstance(child.ctx, ast.Load):
-                    loads.append(child.id)
-            self._nested_free[stmt.name] = tuple(dict.fromkeys(
-                name for name in loads if name not in local))
-            self.env.setdefault(stmt.name, set())
 
     def _note_stored_refs(self, value: ast.AST) -> None:
         """Record callables stored by assignment (address-taken)."""
@@ -509,7 +424,6 @@ def _extract_function(module: ModuleSummary, qualname: str,
         col=getattr(node, "col_offset", 0), params=params)
     extractor = _FunctionExtractor(summary, module, is_rng_home)
     extractor.walk_body(body)
-    extractor.finish_escapes()
     return summary
 
 

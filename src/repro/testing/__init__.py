@@ -5,9 +5,8 @@ instead of each test hand-rolling a testbed and ad-hoc assertions, they
 share one registry of canonical scenarios (:mod:`.scenarios`), one
 battery of physical-consistency invariants (:mod:`.invariants`), one
 golden-file regression format (:mod:`.golden`), bit-reproducibility
-checks (:mod:`.determinism`), a pure-``heapq`` reference scheduler for
-differential tests of the kernel (:mod:`.oracle`), and a miniature
-property-based testing harness (:mod:`.properties`).  ``python -m repro
+checks (:mod:`.determinism`) and a pure-``heapq`` reference scheduler
+for differential tests of the kernel (:mod:`.oracle`).  ``python -m repro
 verify`` drives the same machinery from the command line.
 """
 
@@ -40,7 +39,6 @@ from .invariants import (
     verify_testbed,
 )
 from .oracle import HeapOracle
-from .properties import PropertyFailure, case_rng, replay_case, run_property
 from .scenarios import (
     SCENARIOS,
     Scenario,
@@ -61,5 +59,4 @@ __all__ = [
     "assert_deterministic", "check_deterministic", "compare_runs",
     "metrics_digest",
     "HeapOracle",
-    "PropertyFailure", "case_rng", "replay_case", "run_property",
 ]

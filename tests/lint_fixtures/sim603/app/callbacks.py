@@ -1,7 +1,7 @@
-# Seeded bug for SIM603: the first callback captures ``target`` by
-# reference and ``target`` is reassigned after the subscription point,
-# so the callback will observe the new value when the event fires.
-# The second function uses the sanctioned default-binding idiom.
+# Seeded bugs for SIM302's straight-line case (once the rule SIM603):
+# the first callback captures ``target``, reassigned after the
+# subscription point, so it sees the new value when the event fires.
+# The second uses the default-binding idiom; the third, a nested def.
 
 
 def schedule_bad(env):

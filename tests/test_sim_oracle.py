@@ -13,8 +13,11 @@ ties, and exercise both the fast and the monitored run loop.
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim import Environment
-from repro.testing import HeapOracle, run_property
+from repro.testing import HeapOracle
 
 # Kernel entry points a program schedules through; the oracle mirrors
 # each with plain call_soon hops.
@@ -166,54 +169,53 @@ def _run_both(seed, monitored=False, toggles=False,
     return ours.log
 
 
-def test_random_programs_match_oracle_on_fast_loop():
-    def prop(rng, _case):
-        log = _run_both(rng.randrange(1 << 30))
-        assert log  # programs are never vacuous
-
-    run_property(prop, n_cases=120, seed=13)
+SEEDS = st.integers(min_value=0, max_value=(1 << 30) - 1)
 
 
-def test_random_programs_match_oracle_on_monitored_loop():
-    def prop(rng, _case):
-        _run_both(rng.randrange(1 << 30), monitored=True)
-
-    run_property(prop, n_cases=80, seed=17)
-
-
-def test_loop_switches_mid_run_keep_oracle_order():
-    def prop(rng, _case):
-        _run_both(rng.randrange(1 << 30), toggles=True)
-
-    run_property(prop, n_cases=60, seed=19)
+@given(SEEDS)
+@settings(max_examples=120, deadline=None)
+def test_random_programs_match_oracle_on_fast_loop(seed):
+    log = _run_both(seed)
+    assert log  # programs are never vacuous
 
 
-def test_step_matches_oracle_step():
+@given(SEEDS)
+@settings(max_examples=80, deadline=None)
+def test_random_programs_match_oracle_on_monitored_loop(seed):
+    _run_both(seed, monitored=True)
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_loop_switches_mid_run_keep_oracle_order(seed):
+    _run_both(seed, toggles=True)
+
+
+@given(SEEDS, st.sampled_from((16, 1_000)))
+@settings(max_examples=60, deadline=None)
+def test_step_matches_oracle_step(seed, scale):
     """``step()`` dispatches exactly one oracle entry at a time."""
-    def prop(rng, _case):
-        seed = rng.randrange(1 << 30)
-        scale = rng.choice((16, 1_000))
-        env, oracle = Environment(), HeapOracle()
-        # Entry points that map one-to-one onto oracle entries.
-        entries = (_CALL_SOON, _TIMEOUT, _SCHEDULE_AT)
-        ours = _Program(env, _env_schedule, random.Random(seed), scale,
-                        300, entries)
-        ref = _Program(oracle, _oracle_schedule, random.Random(seed), scale,
-                       300, entries)
-        for root in range(4):
-            ours.spawn(f"r{root}")
-            ref.spawn(f"r{root}")
-        while oracle.peek() is not None:
-            assert env.peek() == oracle.peek()
-            env.step()
-            oracle.step()
-            assert (env.now, ours.log) == (oracle.now, ref.log)
-        assert env.peek() is None
-
-    run_property(prop, n_cases=60, seed=23)
+    env, oracle = Environment(), HeapOracle()
+    # Entry points that map one-to-one onto oracle entries.
+    entries = (_CALL_SOON, _TIMEOUT, _SCHEDULE_AT)
+    ours = _Program(env, _env_schedule, random.Random(seed), scale,
+                    300, entries)
+    ref = _Program(oracle, _oracle_schedule, random.Random(seed), scale,
+                   300, entries)
+    for root in range(4):
+        ours.spawn(f"r{root}")
+        ref.spawn(f"r{root}")
+    while oracle.peek() is not None:
+        assert env.peek() == oracle.peek()
+        env.step()
+        oracle.step()
+        assert (env.now, ours.log) == (oracle.now, ref.log)
+    assert env.peek() is None
 
 
-def test_run_until_equivalence_with_self_rescheduling_lanes():
+@given(SEEDS)
+@settings(max_examples=25, deadline=None)
+def test_run_until_equivalence_with_self_rescheduling_lanes(seed):
     """Lanes re-arming from their own callbacks stop identically."""
     def drive(sched, rng):
         log = []
@@ -231,12 +233,8 @@ def test_run_until_equivalence_with_self_rescheduling_lanes():
         sched.run(until=50_000)
         return sched.now, sched.peek(), log
 
-    def prop(rng, _case):
-        seed = rng.randrange(1 << 30)
-        assert drive(Environment(), random.Random(seed)) == \
-            drive(HeapOracle(), random.Random(seed))
-
-    run_property(prop, n_cases=25, seed=3)
+    assert drive(Environment(), random.Random(seed)) == \
+        drive(HeapOracle(), random.Random(seed))
 
 
 def test_fifo_ties_at_one_timestamp():

@@ -253,7 +253,8 @@ def test_sorted_iteration_passes_sim104():
 def test_default_bound_lambda_passes_sim302():
     source = ("def arm(env, vms):\n"
               "    for vm in vms:\n"
-              "        env.call_soon(lambda vm=vm: vm.kick())\n")
+              "        env.call_soon(lambda vm=vm: vm.kick())\n"
+              "    vm = None\n")
     assert lint_sources({"repro/x.py": source},
                         only=["SIM302"]).findings == []
 
@@ -265,6 +266,42 @@ def test_immediately_called_lambda_passes_sim302():
               "    return [(lambda: v)() for v in vms]\n")
     assert lint_sources({"repro/x.py": source},
                         only=["SIM302"]).findings == []
+
+
+# SIM302's two shapes, anchored at the closure (loop capture) or at the
+# event-system call (a local reassigned after the subscription point).
+SIM302_SHAPES = {
+    "reassigned-in-module-code": (
+        "delay = 5\n"
+        "env.call_soon(lambda: print(delay), 0)\n"
+        "delay = 7\n",
+        [(2, 0, "callback passed to call_soon() captures local 'delay', "
+                "which is reassigned at line 3 after the subscription "
+                "point")]),
+    "loop-then-reassigned": (
+        "def arm(env, vms):\n"
+        "    for vm in vms:\n"
+        "        env.call_soon(lambda: vm.kick())\n"
+        "    vm = None\n",
+        [(3, 22, "'<lambda>' captures loop variable(s) vm late-bound; bind "
+                 "them as default arguments (vm=vm)"),
+         (3, 8, "callback passed to call_soon() captures local 'vm', which "
+                "is reassigned at line 4 after the subscription point")]),
+    "def-parameter-shadows-loop-variable": (
+        "def drive(pairs):\n"
+        "    for sched, log in pairs:\n"
+        "        def first(sched=sched, log=log):\n"
+        "            sched.call_soon(lambda: log.append('ready'))\n"
+        "        sched.call_soon(first, 5)\n", []),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SIM302_SHAPES))
+def test_sim302_shapes(shape):
+    source, expected = SIM302_SHAPES[shape]
+    result = lint_sources({"repro/x.py": source}, only=["SIM302"])
+    assert sorted((f.line, f.col, f.message) for f in result.findings) \
+        == sorted(expected)
 
 
 def test_nested_def_duplicate_reported_once_sim402():
@@ -428,6 +465,7 @@ def test_cli_lint_json_smoke():
     ("--no-baseline",),
     ("--update-baseline",),
     ("--jobs", "2"),
+    ("--changed",),
 ])
 def test_retired_lint_options_are_usage_errors(args):
     proc = _lint_cli(*args)
@@ -457,15 +495,17 @@ def test_only_takes_comma_separated_codes(capsys):
     assert listed == repeated == mixed
     assert listed[0] == 1
     assert sorted(json.loads(listed[1])["counts"]) == ["SIM104", "SIM501"]
+    # SIM603 is retired: SIM302 does its check.
     code, out = _run_lint_in_process(capsys, "--only", "SIM101,SIM999",
-                                     "--only", "BOGUS", tests)
+                                     "--only", "BOGUS,SIM603", tests)
     assert code == 2
-    assert out.startswith("lint: unknown rule code(s): BOGUS, SIM999; ")
+    assert out.startswith(
+        "lint: unknown rule code(s): BOGUS, SIM603, SIM999; ")
 
 
 def test_lint_tree_empty_paths_checks_no_files():
-    # An empty path list (``--changed`` with nothing changed) means no
-    # files, not the whole tree.
+    # An empty path list (a caller that filtered every path away) means
+    # no files, not the whole tree.
     assert lint_tree(paths=[]).files_checked == 0
 
 

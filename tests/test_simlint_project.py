@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (build_project, build_project_from_sources,
-                        changed_paths, expand_suppressions, lint_paths,
-                        lint_sources, lint_tree, parse_suppressions,
-                        register_rule, registered_rules, render_rule_list,
+                        expand_suppressions, lint_paths, lint_sources,
+                        lint_tree, parse_suppressions, register_rule,
+                        registered_rules, render_rule_list,
                         run_project_rules)
 from repro.lint.framework import LintCache, default_lint_root
 from repro.lint.project import ProjectRule
@@ -112,21 +112,24 @@ def test_sim602_dead_field_anchored_at_definition():
 
 
 # ---------------------------------------------------------------------------
-# SIM603 — event-callback escape
+# The sim603 corpus: SIM302's straight-line case, which a plain lint checks
+# (it was once the --project rule SIM603)
 
 
 def test_sim603_fires_on_lambda_and_nested_def():
-    result = run_fixture("sim603", "SIM603")
-    lines = {f.line for f in result.findings}
-    assert len(result.findings) == 2
-    assert all("reassigned" in f.message for f in result.findings)
+    result = lint_tree(paths=[FIXTURES / "sim603"], use_cache=False)
+    assert [(f.code, f.line) for f in result.findings] == \
+        [("SIM302", 9), ("SIM302", 27)]
+    assert all("after the subscription point" in f.message
+               for f in result.findings)
 
 
 def test_sim603_quiet_on_default_binding_idiom():
-    result = run_fixture("sim603", "SIM603")
+    result = lint_tree(paths=[FIXTURES / "sim603"], use_cache=False)
     source = (FIXTURES / "sim603/app/callbacks.py").read_text()
     ok_line = next(i for i, text in enumerate(source.splitlines(), 1)
                    if "lambda t=target" in text)
+    assert result.findings
     assert all(f.line != ok_line for f in result.findings)
 
 
@@ -167,7 +170,7 @@ def test_project_rule_registry_is_sim6xx():
     # and --list-rules shows every code.
     registry = registered_rules()
     sim6xx = sorted(code for code in registry if code.startswith("SIM6"))
-    assert sim6xx == ["SIM601", "SIM602", "SIM603", "SIM604"]
+    assert sim6xx == ["SIM601", "SIM602", "SIM604"]
     assert all(issubclass(registry[code], ProjectRule) == (code in sim6xx)
                for code in registry)
     listing = render_rule_list()
@@ -410,9 +413,8 @@ def test_only_runs_share_out_the_suppressed_count(full_runs, tmp_path):
 # The stored project result
 
 
-# CACHE_TREE plus a file with two SIM603 findings.
-PROJECT_TREE = {**CACHE_TREE, "repro/app/callbacks.py":
-                (FIXTURES / "sim603" / "app" / "callbacks.py").read_text()}
+# CACHE_TREE plus the SIM602 corpus: two findings, in two files.
+PROJECT_TREE = {**CACHE_TREE, **load_fixture("sim602")}
 
 
 def test_project_result_follows_the_files_under_repro(tmp_path, monkeypatch):
@@ -425,7 +427,7 @@ def test_project_result_follows_the_files_under_repro(tmp_path, monkeypatch):
             root=root, use_cache=use_cache, cache_dir=tmp_path / "cache"))
 
     first = project()
-    assert [f.code for f in first.findings] == ["SIM603", "SIM603"]
+    assert [f.code for f in first.findings] == ["SIM602", "SIM602"]
     assert sorted(runs) == PROJECT_CODES
     runs.clear()
     assert project() == first and runs == []
@@ -434,8 +436,9 @@ def test_project_result_follows_the_files_under_repro(tmp_path, monkeypatch):
     lint_paths([root / "tools"], root=root, cache_dir=tmp_path / "cache")
     assert project() == first and runs == []
     # A comment above the findings moves them down a line.
-    callbacks = root / "repro" / "app" / "callbacks.py"
-    callbacks.write_text("# edited\n" + callbacks.read_text())
+    for finding in first.findings:
+        edited = root / finding.path
+        edited.write_text("# edited\n" + edited.read_text())
     edited = project()
     assert sorted(runs) == PROJECT_CODES
     assert edited == project(use_cache=False)
@@ -598,35 +601,6 @@ def test_duplicate_rule_registration_rejected():
 
     with pytest.raises(ValueError, match="duplicate rule code"):
         register_rule(ProjectDupe)
-
-
-# ---------------------------------------------------------------------------
-# Satellite: --changed
-
-
-def test_changed_paths_falls_back_outside_git(tmp_path):
-    (tmp_path / "repro").mkdir()
-    assert changed_paths(root=tmp_path) is None
-
-
-def test_changed_paths_in_this_checkout():
-    changed = changed_paths()
-    # On a pristine main this is an empty list; on a working branch it
-    # is the touched files — either way it is a real answer, not None,
-    # and every entry is a python file inside the package.
-    if changed is None:
-        pytest.skip("not running inside a git checkout")
-    assert all(p.suffix == ".py" for p in changed)
-
-
-def test_cli_changed_exits_clean_on_this_checkout():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--changed"],
-        capture_output=True, text=True, cwd=str(REPO_ROOT),
-        env={**__import__("os").environ,
-             "PYTHONPATH": str(REPO_ROOT / "src")},
-        timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------
